@@ -324,6 +324,19 @@ def cmd_unify(args) -> int:
     batch_sizes = cfg_ints(config, "unify.batch_sizes",
                            (16, 32, 64, 128, 256, 512, 1024))
 
+    noprep = None
+    if "combined_noprep.train" in config:
+        # Loaded and sized before phase 1, from its own vocabulary.
+        noprep, noprep_meta, paths = _load_split(config, "combined_noprep",
+                                                 "combined-noprep")
+        for p in paths:
+            manifest.add_input(p)
+        noprep_model_cfg = build_model_config(
+            config, noprep_meta["vocab_size"], noprep.train.max_seq_len)
+        noprep_train_cfg = replace(train_cfg,
+                                   max_seq_len=noprep.train.max_seq_len,
+                                   preprocessing_enabled=False)
+
     result = phase_one(datasets, [(model_cfg, train_cfg)], baselines,
                        threshold, batch_sizes)
     names = [ds.name for ds in datasets]
@@ -355,18 +368,15 @@ def cmd_unify(args) -> int:
     ckpt, report = phase_two(combined, model_cfg, final_cfg, encoder_source)
     save_checkpoint(ckpt, manifest.artifact("unified_checkpoint.ufnd"))
 
-    if "combined_noprep.train" in config:
-        noprep, _, paths = _load_split(config, "combined_noprep",
-                                       "combined-noprep")
-        for p in paths:
-            manifest.add_input(p)
-        noprep_model_cfg = build_model_config(
-            config, meta["vocab_size"], noprep.train.max_seq_len)
-        noprep_train_cfg = replace(train_cfg,
-                                   max_seq_len=noprep.train.max_seq_len,
-                                   preprocessing_enabled=False)
+    if noprep is not None:
+        noprep_source = encoder_source
+        if noprep_meta["vocab_hash"] != meta["vocab_hash"]:
+            # Its ids index another vocabulary: keep its fresh token table.
+            noprep_source = replace(encoder_source, tensors={
+                name: arr for name, arr in encoder_source.tensors.items()
+                if name != "best/encoder/token_embedding"})
         cells = phase_two_sweep(noprep, noprep_model_cfg, noprep_train_cfg,
-                                batch_sizes, encoder_source)
+                                batch_sizes, noprep_source)
         header, rows = sweep_table(cells)
         _write_table(manifest, "table_combined_noprep", header, rows)
 

@@ -182,19 +182,34 @@ def encoder_block(hidden: Tensor, mask: np.ndarray, bp: BlockParams,
                   config: EncoderConfig, mode: str,
                   rng: np.random.Generator) -> Tensor:
     """Post-norm block: attention and feed-forward sub-layers with
-    residual connections and layer normalization."""
+    residual connections and layer normalization.
+
+    Dropout masks are drawn at the full ``(batch, max_seq_len, d_model)``
+    shape whatever the width of `hidden`, so a step consumes the same
+    random numbers however many trailing PAD columns were cut.
+    """
+    draw_shape = (hidden.shape[0], config.max_seq_len, hidden.shape[2])
     attn = self_attention(hidden, mask, bp, config)
-    attn = dropout(attn, config.dropout_rate, mode, rng)
+    attn = dropout(attn, config.dropout_rate, mode, rng, draw_shape)
     h1 = layer_norm(hidden + attn, bp.ln1_gain, bp.ln1_bias, LN_EPS)
     ff = ag.linear(gelu(ag.linear(h1, bp.w1, bp.b1)), bp.w2, bp.b2)
-    ff = dropout(ff, config.dropout_rate, mode, rng)
+    ff = dropout(ff, config.dropout_rate, mode, rng, draw_shape)
     return layer_norm(h1 + ff, bp.ln2_gain, bp.ln2_bias, LN_EPS)
 
 
 def encode_sequence(ids: np.ndarray, mask: np.ndarray, params: EncoderParams,
                     config: EncoderConfig, mode: str,
                     rng: np.random.Generator) -> Tensor:
-    """Embed, run retained blocks in ascending index order, pool position 0."""
+    """Embed, run retained blocks in ascending index order, pool position 0.
+
+    Columns after the batch's last real position are cut first.  Masked
+    keys get exactly zero attention weight and only position 0 is
+    pooled, so the cut changes nothing but float rounding, and a batch
+    with no all-PAD trailing column runs unchanged.
+    """
+    real_cols = np.flatnonzero(np.any(mask, axis=0))
+    width = int(real_cols[-1]) + 1 if real_cols.size else ids.shape[1]
+    ids, mask = ids[:, :width], mask[:, :width]
     hidden = embed(ids, params)
     for idx in config.block_subset:
         hidden = encoder_block(hidden, mask, params.blocks[idx], config,

@@ -143,15 +143,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return Tensor(out_data, _parents=(x, gain, bias), _backward=bwd)
 
 
-def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity in eval mode or at rate 0."""
+def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator,
+            draw_shape: tuple[int, ...] | None = None) -> Tensor:
+    """Inverted dropout; identity in eval mode or at rate 0.
+
+    With `draw_shape` the mask is drawn at that shape and its leading
+    corner of `x.shape` is kept: `rng.random` fills in C order, so `x`
+    gets the values it would get as that corner of a full-shape input.
+    """
     if not 0.0 <= rate < 1.0:
         raise ArgumentError(f"dropout rate must be in [0, 1), got {rate}")
     if mode == "eval" or rate == 0.0:
         return x
     if mode != "train":
         raise ArgumentError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    draws = rng.random(x.shape if draw_shape is None else draw_shape)
+    keep = (draws[tuple(slice(n) for n in x.shape)] >= rate).astype(x.dtype)
     scale = 1.0 / (1.0 - rate)
     out_data = x.data * keep * scale
 

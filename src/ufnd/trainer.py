@@ -106,11 +106,11 @@ def batch_iterator(n: int, batch_size: int, epoch: int, seed: int):
 
 def predict_dataset(model: Model, ds: EncodedDataset,
                     batch_size: int = 256) -> np.ndarray:
-    preds = []
-    for start in range(0, len(ds), batch_size):
-        out = model.forward(ds.ids[start:start + batch_size],
-                            ds.mask[start:start + batch_size], "eval")
-        preds.append(predict(out))
+    # Each batch is reduced to its predictions at once, so its graph is
+    # freed before the next forward is built.
+    preds = [predict(model.forward(ds.ids[start:start + batch_size],
+                                   ds.mask[start:start + batch_size], "eval"))
+             for start in range(0, len(ds), batch_size)]
     return np.concatenate(preds)
 
 
@@ -169,6 +169,25 @@ def model_from_checkpoint(ckpt: Checkpoint, which: str = "best"
     return model, cfg
 
 
+def _train_step(model: Model, params: list, adam: dict, cfg: TrainConfig,
+                ds: EncodedDataset, idx: np.ndarray) -> tuple[float, float]:
+    """One minibatch step; returns the loss and the pre-clip gradient
+    norm.  The step's graph and every node's grad are freed on return,
+    before the next forward or the epoch's validation."""
+    model.zero_grad()
+    out = model.forward(ds.ids[idx], ds.mask[idx], "train")
+    loss = nll_loss(out, ds.labels[idx])
+    if cfg.checked and not np.isfinite(loss.data):
+        raise NonFiniteError("loss")
+    loss.backward()
+    pre = clip_global_norm(params, cfg.clip)
+    for p in params:
+        adam_step(p, adam[p.name])
+    if cfg.checked:
+        assert_all_finite(params)
+    return loss.item(), pre
+
+
 def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
           cfg: TrainConfig, resume: Checkpoint | None = None,
           vocab_hash: str = "") -> tuple[Checkpoint, TrainReport]:
@@ -218,21 +237,11 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
         clipped = 0
         batches = batch_iterator(len(train_ds), cfg.batch_size, epoch, cfg.seed)
         for idx in batches:
-            model.zero_grad()
-            out = model.forward(train_ds.ids[idx], train_ds.mask[idx], "train")
-            loss = nll_loss(out, train_ds.labels[idx])
-            if cfg.checked and not np.isfinite(loss.data):
-                raise NonFiniteError("loss")
-            loss.backward()
-            pre = clip_global_norm(params, cfg.clip)
+            loss, pre = _train_step(model, params, adam, cfg, train_ds, idx)
             max_pre = max(max_pre, pre)
             if pre > cfg.clip:
                 clipped += 1
-            for p in params:
-                adam_step(p, adam[p.name])
-            if cfg.checked:
-                assert_all_finite(params)
-            losses.append(loss.item())
+            losses.append(loss)
         val = evaluate(model, val_ds)
         report.epochs.append(EpochRecord(
             epoch=epoch, train_loss=float(np.mean(losses)), val_metrics=val,

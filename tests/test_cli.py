@@ -220,6 +220,57 @@ class TestUnifyCommand:
             "accepted\ttrue")
         load_checkpoint(out / "unified_checkpoint.ufnd")
 
+    def test_noprep_split_with_its_own_vocabulary(self, tmp_path):
+        """The no-prep files keep 1-2 letter words, so their vocabulary is
+        larger than the prep-on one that phase 1 trains on."""
+        short = [a + b for a in "abcdefgh" for b in "aeiou"]
+        data_paths = []
+        for i in range(1, 4):
+            rng = np.random.default_rng(i)
+            corpus = make_synthetic_corpus(60, f"ds{i}", seed=300 + i)
+            path = tmp_path / f"ds{i}.csv"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("title,text,label\n")
+                for doc in corpus:
+                    extra = " ".join(rng.choice(short, size=3))
+                    fh.write(f"{extra},{doc.text},"
+                             f"{'FAKE' if doc.label else 'REAL'}\n")
+            data_paths.append(path)
+        config = write_prep_config(tmp_path, data_paths)
+        config.write_text(config.read_text().replace(
+            "vocab.max_size = 200", "vocab.max_size = 1000"))
+        prep_out, noprep_out = tmp_path / "prep", tmp_path / "noprep"
+        assert main(["prep", "--config", str(config),
+                     "--out", str(prep_out)]) == 0
+        assert main(["prep", "--config", str(config), "--out",
+                     str(noprep_out), "--preprocess", "off"]) == 0
+        sizes = [load_encoded(out / "combined.train.npz")[1]["vocab_size"]
+                 for out in (prep_out, noprep_out)]
+        assert sizes[0] < sizes[1]
+
+        baselines = tmp_path / "baselines.tsv"
+        baselines.write_text("".join(f"ds{i}\t0.5\tfloor\n"
+                                     for i in range(1, 4)))
+        lines = [config.read_text()]
+        for i in range(1, 4):
+            lines += [f"dataset{i}.train = {prep_out / f'ds{i}.train.npz'}",
+                      f"dataset{i}.test = {prep_out / f'ds{i}.test.npz'}",
+                      f"dataset{i}.name = ds{i}"]
+        for prefix, out in (("combined", prep_out),
+                            ("combined_noprep", noprep_out)):
+            lines += [f"{prefix}.train = {out / 'combined.train.npz'}",
+                      f"{prefix}.test = {out / 'combined.test.npz'}"]
+        lines += [f"baselines = {baselines}", "unify.batch_sizes = 16",
+                  "unify.threshold = 0.5"]
+        unify_cfg = tmp_path / "unify.cfg"
+        unify_cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "unify_out"
+        assert main(["unify", "--config", str(unify_cfg),
+                     "--out", str(out)]) == 0
+        for name in ("table_combined_noprep.tsv", "phase_one.txt",
+                     "manifest.json"):
+            assert (out / name).exists(), name
+
     def test_infeasible_exits_zero_with_report(self, tmp_path):
         config, prep_out = run_prep(tmp_path)
         baselines = tmp_path / "baselines.tsv"

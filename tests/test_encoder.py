@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import small_batch, small_model
-from ufnd.encoder import (EncoderConfig, encode_sequence, init_encoder_params,
-                          param_count, select_blocks)
+from ufnd import autograd as ag
+from ufnd.encoder import (EncoderConfig, embed, encode_sequence,
+                          encoder_block, init_encoder_params, param_count,
+                          select_blocks)
 from ufnd.errors import ArgumentError, ContractError
-from ufnd.numerics import RngStreams
+from ufnd.numerics import RngStreams, nll_loss
 
 
 def tiny_encoder_config(**overrides):
@@ -135,6 +139,71 @@ class TestEncodeSequence:
         for p in params.parameters():
             assert p.grad is not None, p.name
             assert float(np.abs(p.grad).sum()) > 0.0 or "bias" in p.name, p.name
+
+
+def padded_rows(lengths, width, seed, vocab_size=50):
+    """CLS-led rows of the given real lengths, padded to `width`."""
+    rng = np.random.default_rng(seed)
+    ids = np.zeros((len(lengths), width), dtype=np.int32)
+    mask = np.zeros((len(lengths), width), dtype=np.float32)
+    for row, n in enumerate(lengths):
+        ids[row, 0] = 2
+        ids[row, 1:n] = rng.integers(3, vocab_size, size=n - 1)
+        mask[row, :n] = 1.0
+    return ids, mask
+
+
+class TestLengthCut:
+    """The encoder runs only up to the batch's last real column."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+           extra=st.integers(0, 8), seed=st.integers(0, 2 ** 16))
+    @example(lengths=[8, 1, 3], extra=0, seed=0)
+    def test_eval_log_probs_ignore_trailing_pad_and_batch(self, lengths,
+                                                          extra, seed):
+        model = small_model(seed=5)
+        ids, mask = padded_rows(lengths, 8, seed)
+        batch = model.forward(ids, mask, "eval").data
+        for row, n in enumerate(lengths):
+            width = min(n + extra, 8)
+            alone = model.forward(ids[row:row + 1, :width],
+                                  mask[row:row + 1, :width], "eval").data
+            np.testing.assert_allclose(batch[row], alone[0],
+                                       rtol=1e-5, atol=1e-5)
+
+    def test_train_step_same_with_and_without_trailing_pad(self):
+        ids, mask = padded_rows([3, 5, 2, 4], 8, seed=1)
+        labels = np.array([0, 1, 1, 0])
+        results = []
+        for width in (8, 5):
+            model = small_model(seed=7, dropout_rate=0.3)
+            loss = nll_loss(model.forward(ids[:, :width], mask[:, :width],
+                                          "train"), labels)
+            loss.backward()
+            results.append((loss.item(), model.parameters(),
+                            model.rng.stream("dropout").bit_generator.state))
+        (loss_full, params_full, state_full), (loss_cut, params_cut,
+                                               state_cut) = results
+        assert loss_cut == pytest.approx(loss_full, rel=1e-5)
+        for pf, pc in zip(params_full, params_cut):
+            np.testing.assert_allclose(pc.grad, pf.grad, rtol=1e-4,
+                                       atol=1e-6, err_msg=pf.name)
+        assert state_cut == state_full
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_no_pad_column_is_bitwise_uncut(self, mode):
+        cfg = tiny_encoder_config(dropout_rate=0.2)
+        params = init_encoder_params(cfg, np.random.default_rng(8))
+        ids, mask = padded_rows([8, 3, 6], 8, seed=4, vocab_size=30)
+        out = encode_sequence(ids, mask, params, cfg, mode,
+                              np.random.default_rng(0)).data
+        rng = np.random.default_rng(0)
+        hidden = embed(ids, params)
+        for idx in cfg.block_subset:
+            hidden = encoder_block(hidden, mask, params.blocks[idx], cfg,
+                                   mode, rng)
+        np.testing.assert_array_equal(out, ag.take_first(hidden).data)
 
 
 class TestInitEncoderParams:

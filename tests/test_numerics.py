@@ -122,6 +122,14 @@ class TestDropout:
         with pytest.raises(ArgumentError):
             dropout(Tensor(np.ones(2)), 1.0, "train", np.random.default_rng(0))
 
+    def test_draw_shape_keeps_the_leading_corner(self):
+        x = np.random.default_rng(1).standard_normal((2, 6, 3))
+        full = dropout(Tensor(x), 0.4, "train", np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        corner = dropout(Tensor(x[:, :4]), 0.4, "train", rng, (2, 6, 3))
+        np.testing.assert_array_equal(corner.data, full.data[:, :4])
+        assert rng.random() == np.random.default_rng(5).random(37)[-1]
+
 
 class TestMaskedSoftmax:
     def test_masked_keys_get_exact_zero(self):
