@@ -3,10 +3,13 @@
 Tensors wrap float32 (or float64) numpy arrays and record a backward
 closure per operation.  Calling ``backward()`` on a scalar output walks
 the graph in reverse topological order and accumulates gradients into
-every tensor with ``requires_grad`` set.
+every tensor with ``requires_grad`` set.  Inside ``no_grad()`` no graph
+is recorded.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,6 +26,27 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block.
+
+    Tensors made here keep neither parents nor backward closure, so each
+    op's intermediate arrays are freed as soon as the forward moves on,
+    and ``requires_grad`` is set only by an explicit argument.  Recording
+    resumes when the block exits, by an exception too.
+    """
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -32,6 +56,8 @@ class Tensor:
         else:
             self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
+        if not _recording:
+            _parents, _backward = (), None
         self.requires_grad = bool(requires_grad) or any(
             p.requires_grad for p in _parents
         )

@@ -9,9 +9,11 @@ trailing CRC-32 of the payload region.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -53,12 +55,23 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     header = json.dumps({"config": ckpt.config, "meta": ckpt.meta,
                          "directory": directory}).encode("utf-8")
     payload = b"".join(payloads)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(header)))
-        fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    # Written beside the target and renamed over it, so a crash part-way
+    # leaves the old file whole.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", FORMAT_VERSION, len(header)))
+            fh.write(header)
+            fh.write(payload)
+            fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,10 +27,12 @@ from .errors import (ArgumentError, DataError, IncompatibilityError,
 from .metrics import POSITIVE_CLASS_NOTE, compute_metrics, confusion
 from .model import Model, ModelConfig
 from .numerics import RngStreams
-from .textprep import (EncodedDataset, PrepConfig, build_vocab, encode_corpus,
-                       save_vocab, seq_length_stats)
+from .textprep import (CLS_ID, EncodedDataset, PrepConfig, build_vocab,
+                       encode_corpus, save_vocab, seq_length_stats)
 from .trainer import (TrainConfig, evaluate, model_from_checkpoint,
                       predict_dataset, train)
+# `phase_two` is unused here; bench/spans.py traces it through this
+# module's namespace.
 from .unified import (AblationGrid, EncodedSplit, ablate, ablation_table,
                       load_baselines, per_dataset_table, phase_one,
                       phase_two, phase_two_sweep, render_aligned,
@@ -141,13 +144,44 @@ def save_encoded(ds: EncodedDataset, path, vocab_size: int) -> None:
 
 
 def load_encoded(path) -> tuple[EncodedDataset, dict]:
-    with np.load(path) as data:
-        meta = json.loads(str(data["meta"]))
-        ds = EncodedDataset(ids=data["ids"], mask=data["mask"],
-                            labels=data["labels"],
-                            true_lengths=data["true_lengths"],
-                            vocab_hash=meta["vocab_hash"],
-                            max_seq_len=meta["max_seq_len"])
+    """Read an encoded split, rejecting a file whose arrays disagree with
+    each other or with its vocabulary size (`DataError`)."""
+    try:
+        with np.load(path) as data:
+            meta = json.loads(str(data["meta"]))
+            ds = EncodedDataset(ids=data["ids"], mask=data["mask"],
+                                labels=data["labels"],
+                                true_lengths=data["true_lengths"],
+                                vocab_hash=meta["vocab_hash"],
+                                max_seq_len=meta["max_seq_len"])
+            vocab_size = int(meta["vocab_size"])
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: not an encoded split: {exc}") from exc
+    if (ds.ids.ndim != 2 or ds.ids.shape[1] < 1
+            or ds.mask.shape != ds.ids.shape):
+        raise DataError(f"{path}: ids {ds.ids.shape} and mask "
+                        f"{ds.mask.shape} must share one [rows, length] shape")
+    n = len(ds.ids)
+    for name in ("labels", "true_lengths"):
+        if getattr(ds, name).shape != (n,):
+            raise DataError(f"{path}: {name} has shape "
+                            f"{getattr(ds, name).shape}, ids has {n} rows")
+    for name in ("ids", "labels", "true_lengths"):
+        if not np.issubdtype(getattr(ds, name).dtype, np.integer):
+            raise DataError(f"{path}: {name} has dtype "
+                            f"{getattr(ds, name).dtype}, expected integers")
+    positions = np.arange(ds.ids.shape[1])
+    checks = [
+        (((ds.ids < 0) | (ds.ids >= vocab_size)).any(axis=1),
+         f"token id outside [0, {vocab_size})"),
+        (ds.ids[:, 0] != CLS_ID, f"column 0 is not CLS ({CLS_ID})"),
+        ((ds.mask != (positions < ds.true_lengths[:, None])).any(axis=1),
+         "mask disagrees with true_lengths"),
+        ((ds.labels != 0) & (ds.labels != 1), "label is not 0 or 1"),
+    ]
+    for bad, what in checks:
+        if bad.any():
+            raise DataError(f"{path}: row {int(np.argmax(bad))}: {what}")
     return ds, meta
 
 
@@ -359,13 +393,10 @@ def cmd_unify(args) -> int:
     combined, _, paths = _load_split(config, "combined", "combined")
     for p in paths:
         manifest.add_input(p)
-    cells = phase_two_sweep(combined, model_cfg, train_cfg, batch_sizes,
-                            encoder_source)
+    cells, ckpt, report = phase_two_sweep(combined, model_cfg, train_cfg,
+                                          batch_sizes, encoder_source)
     header, rows = sweep_table(cells)
     _write_table(manifest, "table_combined_prep", header, rows)
-    best_cell = max(cells, key=lambda c: c.best_val_accuracy)
-    final_cfg = replace(train_cfg, batch_size=best_cell.batch_size)
-    ckpt, report = phase_two(combined, model_cfg, final_cfg, encoder_source)
     save_checkpoint(ckpt, manifest.artifact("unified_checkpoint.ufnd"))
 
     if noprep is not None:
@@ -375,8 +406,9 @@ def cmd_unify(args) -> int:
             noprep_source = replace(encoder_source, tensors={
                 name: arr for name, arr in encoder_source.tensors.items()
                 if name != "best/encoder/token_embedding"})
-        cells = phase_two_sweep(noprep, noprep_model_cfg, noprep_train_cfg,
-                                batch_sizes, noprep_source)
+        cells, _, _ = phase_two_sweep(noprep, noprep_model_cfg,
+                                      noprep_train_cfg, batch_sizes,
+                                      noprep_source)
         header, rows = sweep_table(cells)
         _write_table(manifest, "table_combined_noprep", header, rows)
 

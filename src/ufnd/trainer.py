@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .autograd import no_grad
 from .checkpoint import Checkpoint
 from .classifier import HeadConfig, predict
 from .encoder import EncoderConfig
@@ -106,11 +107,14 @@ def batch_iterator(n: int, batch_size: int, epoch: int, seed: int):
 
 def predict_dataset(model: Model, ds: EncodedDataset,
                     batch_size: int = 256) -> np.ndarray:
-    # Each batch is reduced to its predictions at once, so its graph is
-    # freed before the next forward is built.
-    preds = [predict(model.forward(ds.ids[start:start + batch_size],
-                                   ds.mask[start:start + batch_size], "eval"))
-             for start in range(0, len(ds), batch_size)]
+    # Inference records no graph, so a forward holds only the arrays of
+    # the block it is in, and each batch is reduced to its predictions
+    # before the next one runs.
+    with no_grad():
+        preds = [predict(model.forward(ds.ids[start:start + batch_size],
+                                       ds.mask[start:start + batch_size],
+                                       "eval"))
+                 for start in range(0, len(ds), batch_size)]
     return np.concatenate(preds)
 
 

@@ -200,16 +200,25 @@ def phase_two(combined: EncodedSplit, model_cfg: ModelConfig,
 def phase_two_sweep(combined: EncodedSplit, model_cfg: ModelConfig,
                     train_cfg: TrainConfig, batch_sizes=DEFAULT_BATCH_SIZES,
                     encoder_source: Checkpoint | None = None
-                    ) -> list[TrainedCell]:
+                    ) -> tuple[list[TrainedCell], Checkpoint, TrainReport]:
+    """Run `phase_two` at each batch size; return one cell per run plus
+    the checkpoint and report of the first run with the highest best
+    validation accuracy."""
+    if not batch_sizes:
+        raise ArgumentError("phase_two_sweep requires a batch size")
     cells = []
+    best = None
     for batch in batch_sizes:
         cfg = replace(train_cfg, batch_size=batch)
-        _, report = phase_two(combined, model_cfg, cfg, encoder_source)
+        ckpt, report = phase_two(combined, model_cfg, cfg, encoder_source)
         cells.append(TrainedCell(
             dataset=combined.name, batch_size=batch,
             metrics=report.epochs[report.best_epoch - 1].val_metrics,
             best_val_accuracy=report.best_val_accuracy))
-    return cells
+        if best is None or (report.best_val_accuracy
+                            > best[1].best_val_accuracy):
+            best = (ckpt, report)
+    return cells, best[0], best[1]
 
 
 @dataclass
@@ -248,7 +257,7 @@ def compare_preprocessing(combined_corpus: Corpus, model_cfg: ModelConfig,
         tc = replace(train_cfg, max_seq_len=seq_len,
                      preprocessing_enabled=(mode == "with"))
         t0 = time.perf_counter()
-        results[mode] = phase_two_sweep(enc_split, mc, tc, batch_sizes)
+        results[mode], _, _ = phase_two_sweep(enc_split, mc, tc, batch_sizes)
         seconds[mode] = time.perf_counter() - t0
     cost_without = estimate_cost(model_cfg.encoder, model_cfg.head,
                                  seq_len_without, train_cfg.batch_size)

@@ -119,3 +119,26 @@ class TestStructural:
             p.data[idx] = orig
             numeric = (f_plus - f_minus) / (2 * eps)
             assert abs(numeric - p.grad[idx]) < 1e-6
+
+
+class TestNoGrad:
+    def test_ops_record_nothing_and_recording_resumes(self):
+        w = Parameter(np.ones((3, 2), dtype=np.float32), "w")
+        x = Tensor(np.ones((4, 2), dtype=np.float32))
+        b = Parameter(np.zeros(3, dtype=np.float32), "b")
+        with ag.no_grad():
+            fresh = Parameter(np.zeros(2, dtype=np.float32), "fresh")
+            out = ag.linear(x, w, b) * 2.0 + 1.0
+        assert fresh.requires_grad
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        recorded = ag.linear(x, w, b)
+        assert recorded.requires_grad and len(recorded._parents) == 3
+
+    def test_recording_resumes_after_an_exception(self):
+        with pytest.raises(ShapeError):
+            with ag.no_grad():
+                ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        w = Parameter(np.ones((2, 2), dtype=np.float32), "w")
+        out = ag.matmul(Tensor(np.ones((1, 2), dtype=np.float32)), w)
+        assert out.requires_grad and out._backward is not None

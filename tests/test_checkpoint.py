@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from ufnd import checkpoint
 from ufnd.checkpoint import (FORMAT_VERSION, MAGIC, Checkpoint,
                              load_checkpoint, save_checkpoint)
 from ufnd.errors import IntegrityError, VersionError
@@ -123,3 +124,49 @@ class TestCorruption:
                          + header + struct.pack("<I", 0))
         with pytest.raises(IntegrityError):
             load_checkpoint(path)
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "c.ufnd"
+        save_checkpoint(sample_checkpoint(), path)
+        before = path.read_bytes()
+
+        class FullDisk:
+            """A file that takes the first 16 bytes, then runs out of
+            space."""
+
+            def __init__(self, fh):
+                self.fh, self.left = fh, 16
+
+            def write(self, data):
+                if len(data) > self.left:
+                    self.fh.write(data[:self.left])
+                    raise OSError(28, "No space left on device")
+                self.left -= len(data)
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+        real_open = open
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda *a, **k: FullDisk(real_open(*a, **k)),
+                            raising=False)
+        changed = Checkpoint(config={"d_model": 32}, tensors={
+            "model/w": np.ones((64, 64), dtype=np.float32)})
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(changed, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ufnd"]
+
+    def test_overwrite_leaves_only_the_new_file(self, tmp_path):
+        path = tmp_path / "c.ufnd"
+        path.write_bytes(b"x" * 100_000)
+        save_checkpoint(sample_checkpoint(), path)
+        assert load_checkpoint(path).meta == sample_checkpoint().meta
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ufnd"]

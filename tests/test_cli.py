@@ -100,6 +100,111 @@ class TestEncodedIO:
         assert meta["vocab_size"] == len(vocab)
 
 
+def _drop_last_label(a):
+    a["labels"] = a["labels"][:-1]
+
+
+def _drop_mask(a):
+    del a["mask"]
+
+
+def _float_ids(a):
+    a["ids"] = a["ids"].astype(np.float32)
+
+
+def _id_in_trailing_pad(a):
+    """An out-of-range id where only PAD belongs, past the shortest row's
+    real tokens: the length cut never embeds it."""
+    row = int(np.argmin(a["true_lengths"]))
+    assert a["true_lengths"][row] < a["ids"].shape[1]
+    a["ids"][row, -1] = json.loads(str(a["meta"]))["vocab_size"]
+    return row
+
+
+def _negative_id(a):
+    a["ids"][3, 1] = -1
+    return 3
+
+
+def _no_cls(a):
+    a["ids"][2, 0] = 5
+    return 2
+
+
+def _mask_past_true_length(a):
+    row = int(np.argmin(a["true_lengths"]))
+    a["mask"][row, -1] = 1.0
+    return row
+
+
+def _true_length_zero(a):
+    a["true_lengths"][4] = 0
+    return 4
+
+
+def _label_two(a):
+    a["labels"][1] = 2
+    return 1
+
+
+CORRUPTIONS = {
+    "short_labels": (_drop_last_label, "labels has shape"),
+    "no_mask": (_drop_mask, "not an encoded split"),
+    "float_ids": (_float_ids, "ids has dtype float32"),
+    "id_in_trailing_pad": (_id_in_trailing_pad, "token id outside"),
+    "negative_id": (_negative_id, "token id outside"),
+    "no_cls": (_no_cls, "column 0 is not CLS"),
+    "mask_past_true_length": (_mask_past_true_length,
+                              "mask disagrees with true_lengths"),
+    "true_length_zero": (_true_length_zero,
+                         "mask disagrees with true_lengths"),
+    "label_two": (_label_two, "label is not 0 or 1"),
+}
+
+
+class TestStrictEncodedInput:
+    @pytest.fixture(scope="class")
+    def prepped(self, tmp_path_factory):
+        return run_prep(tmp_path_factory.mktemp("strict"))
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_corrupt_file_exits_2_naming_file_and_row(self, kind, prepped,
+                                                      tmp_path, capsys):
+        config, prep_out = prepped
+        with np.load(prep_out / "ds1.test.npz") as data:
+            arrays = {name: data[name].copy() for name in data.files}
+        corrupt, message = CORRUPTIONS[kind]
+        row = corrupt(arrays)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        self._assert_rejected(config, prep_out, bad, tmp_path, capsys,
+                              message, row)
+
+    @pytest.mark.parametrize("content", [b"", b"not a zip archive"])
+    def test_file_that_is_not_an_npz_exits_2(self, content, prepped,
+                                              tmp_path, capsys):
+        config, prep_out = prepped
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(content)
+        self._assert_rejected(config, prep_out, bad, tmp_path, capsys,
+                              "not an encoded split", None)
+
+    @staticmethod
+    def _assert_rejected(config, prep_out, bad, tmp_path, capsys, message,
+                         row):
+        train_cfg = tmp_path / "train.cfg"
+        train_cfg.write_text(
+            config.read_text()
+            + f"data.train = {prep_out / 'ds1.train.npz'}\n"
+            + f"data.test = {bad}\n")
+        assert main(["train", "--config", str(train_cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+        if row is not None:
+            assert f"row {row}:" in err
+
+
 class TestPrepCommand:
     def test_artifacts_and_manifest(self, tmp_path):
         _, out = run_prep(tmp_path)

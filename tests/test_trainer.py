@@ -1,15 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import toy_model_config
+from conftest import small_batch, small_model, toy_model_config
+from ufnd.autograd import no_grad
 from ufnd.checkpoint import load_checkpoint, save_checkpoint
 from ufnd.classifier import HeadConfig
 from ufnd.encoder import EncoderConfig
-from ufnd.errors import ArgumentError
+from ufnd.errors import ArgumentError, ShapeError
 from ufnd.model import Model, desk_config
-from ufnd.numerics import RngStreams
+from ufnd.numerics import RngStreams, grad_check, nll_loss
+from ufnd.textprep import EncodedDataset
 from ufnd.trainer import (TrainConfig, batch_iterator, estimate_cost,
-                          evaluate, model_from_checkpoint, train)
+                          evaluate, model_from_checkpoint, predict_dataset,
+                          train)
 
 
 def small_train_cfg(**kw):
@@ -231,3 +236,40 @@ class TestEstimateCost:
         without = estimate_cost(self.DESK.encoder, self.DESK.head, 200, 32)
         ratio = without / with_prep
         assert 1.5 <= ratio <= 2.8
+
+
+class TestGraphFreeInference:
+    @pytest.mark.parametrize("pad", [True, False])
+    def test_predictions_match_a_recording_forward(self, toy_split, pad):
+        split_data, vocab = toy_split
+        ds = split_data.test
+        if not pad:
+            ds = replace(ds, ids=np.where(ds.mask > 0, ds.ids, 5),
+                         mask=np.ones_like(ds.mask),
+                         true_lengths=np.full(len(ds), ds.max_seq_len))
+        assert (ds.mask == 0).any() == pad
+        model = Model(toy_model_config(len(vocab)), RngStreams(5))
+        recorded = model.forward(ds.ids, ds.mask, "eval")
+        assert recorded._parents
+        with no_grad():
+            free = model.forward(ds.ids, ds.mask, "eval")
+        assert free._parents == () and not free.requires_grad
+        np.testing.assert_array_equal(free.data, recorded.data)
+        np.testing.assert_array_equal(predict_dataset(model, ds),
+                                      np.argmax(recorded.data, axis=1))
+
+    def test_grad_check_after_predict_dataset(self):
+        ids, mask, labels = small_batch()
+        model = small_model(dtype=np.float64, dropout_rate=0.0)
+        ds = EncodedDataset(ids=ids, mask=mask, labels=labels,
+                            true_lengths=mask.sum(axis=1).astype(np.int64),
+                            vocab_hash="", max_seq_len=ids.shape[1])
+        predict_dataset(model, ds)
+        bad_ids = ids.copy()
+        bad_ids[0, 1] = 10_000  # out of range: raises inside no_grad
+        with pytest.raises(ShapeError):
+            predict_dataset(model, replace(ds, ids=bad_ids))
+        res = grad_check(
+            lambda: nll_loss(model.forward(ids, mask, "eval"), labels),
+            model.parameters(), eps=1e-5, abs_floor=1e-10, n_samples=40)
+        assert res.max_rel_error < 1e-4, res.worst_param

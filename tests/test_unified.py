@@ -2,18 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import TOY_SEQ_LEN, toy_model_config
+from ufnd import unified
+from ufnd.checkpoint import Checkpoint
 from ufnd.corpus import split
 from ufnd.encoder import param_count
 from ufnd.errors import ArgumentError
 from ufnd.metrics import Metrics
 from ufnd.synthetic import make_synthetic_corpus
 from ufnd.textprep import PrepConfig, build_vocab, encode_corpus
-from ufnd.trainer import TrainConfig
+from ufnd.trainer import EpochRecord, TrainConfig, TrainReport
 from ufnd.unified import (AblationGrid, EncodedSplit, TrainedCell, ablate,
                           ablation_table, check_acceptable,
                           compare_preprocessing, load_baselines,
                           per_dataset_table, phase_one, phase_two,
-                          render_aligned, render_delimited, sweep_table)
+                          phase_two_sweep, render_aligned, render_delimited,
+                          sweep_table)
 
 
 def encoded_split(name, seed, n_docs=80, seq_len=TOY_SEQ_LEN):
@@ -143,6 +146,38 @@ class TestPhaseTwo:
         _, moved = phase_two(combined, cfg, quick_train_cfg(epochs=1),
                              encoder_source=source_ckpt)
         assert fresh.loss_trace() != moved.loss_trace()
+
+
+class TestPhaseTwoSweep:
+    def test_returns_the_run_of_the_chosen_batch_size(self):
+        combined, vocab = encoded_split("combined", seed=303, n_docs=120)
+        cfg = toy_model_config(len(vocab))
+        cells, ckpt, report = phase_two_sweep(
+            combined, cfg, quick_train_cfg(epochs=2), batch_sizes=(16, 32))
+        chosen = max(cells, key=lambda c: c.best_val_accuracy)
+        alone, alone_report = phase_two(
+            combined, cfg, quick_train_cfg(epochs=2,
+                                           batch_size=chosen.batch_size))
+        assert report.loss_trace() == alone_report.loss_trace()
+        assert sorted(ckpt.tensors) == sorted(alone.tensors)
+        for name, arr in alone.tensors.items():
+            np.testing.assert_array_equal(ckpt.tensors[name], arr)
+
+    def test_ties_keep_the_earliest_batch_size(self, monkeypatch):
+        metrics = Metrics(accuracy=0.75, precision=0.5, recall=0.5, f1=0.5)
+
+        def fake_phase_two(combined, model_cfg, train_cfg, source=None):
+            report = TrainReport(epochs=[EpochRecord(
+                1, 0.5, metrics, 0.0, 0.0, 0, 1)], best_epoch=1,
+                best_val_accuracy=0.75)
+            return Checkpoint(config={"batch": train_cfg.batch_size},
+                              tensors={}), report
+
+        monkeypatch.setattr(unified, "phase_two", fake_phase_two)
+        combined = EncodedSplit(name="c", train=None, test=None)
+        _, ckpt, _ = phase_two_sweep(combined, None, quick_train_cfg(),
+                                     batch_sizes=(32, 16, 64))
+        assert ckpt.config["batch"] == 32
 
 
 class TestComparePreprocessing:
