@@ -236,13 +236,13 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def take_first(x: Tensor) -> Tensor:
-    """Select position 0 along axis 1: [B, L, D] -> [B, D]."""
-    out_data = x.data[:, 0, :].copy()
+    """Select position 0 along axis 1, keeping it: [B, L, D] -> [B, 1, D]."""
+    out_data = x.data[:, :1, :].copy()
 
     def bwd(g):
         if x.requires_grad:
             grad = np.zeros_like(x.data)
-            grad[:, 0, :] = g
+            grad[:, :1, :] = g
             x.accumulate_grad(grad)
 
     return Tensor(out_data, _parents=(x,), _backward=bwd)

@@ -75,8 +75,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    # The file is read once; each tensor is copied straight out of it,
+    # with no intermediate slice of the payload or of the tensor.
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise IntegrityError(f"{path}: not a checkpoint file (bad magic)")
     version, header_len = struct.unpack("<II", blob[4:12])
@@ -87,7 +89,7 @@ def load_checkpoint(path) -> Checkpoint:
     if len(blob) < header_end + 4:
         raise IntegrityError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[12:header_end].decode("utf-8"))
+        header = json.loads(bytes(blob[12:header_end]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{path}: unreadable header: {exc}") from exc
     payload = blob[header_end:-4]

@@ -80,24 +80,42 @@ def resolve_config(args) -> dict[str, str]:
     return config
 
 
+BOOL_WORDS = {"1": True, "true": True, "on": True, "yes": True,
+              "0": False, "false": False, "off": False, "no": False}
+
+
+def _cfg_value(config, key, default, parse, expected):
+    """`parse` the value of `key`; a value it rejects is a `SchemaError`
+    naming the key and the value."""
+    raw = config.get(key, default)
+    try:
+        return parse(raw)
+    except (ValueError, KeyError):
+        raise SchemaError(f"config key {key}: {raw!r} is not {expected}"
+                          ) from None
+
+
 def cfg_int(config, key, default):
-    return int(config.get(key, default))
+    return _cfg_value(config, key, default, int, "an integer")
 
 
 def cfg_float(config, key, default):
-    return float(config.get(key, default))
+    return _cfg_value(config, key, default, float, "a number")
 
 
 def cfg_bool(config, key, default):
-    raw = str(config.get(key, default)).lower()
-    return raw in ("1", "true", "on", "yes")
+    return _cfg_value(config, key, default,
+                      lambda raw: BOOL_WORDS[str(raw).lower()],
+                      "one of " + "/".join(BOOL_WORDS))
 
 
 def cfg_ints(config, key, default):
-    raw = config.get(key)
-    if raw is None:
+    if key not in config:
         return tuple(default)
-    return tuple(int(v) for v in str(raw).split(",") if v != "")
+    return _cfg_value(
+        config, key, None,
+        lambda raw: tuple(int(v) for v in str(raw).split(",") if v != ""),
+        "a comma-separated list of integers")
 
 
 def sha256_file(path) -> str:

@@ -154,44 +154,52 @@ def _pad_position_grad(g: np.ndarray, full_shape) -> np.ndarray:
     return grad
 
 
-def self_attention(hidden: Tensor, mask: np.ndarray, bp: BlockParams,
-                   config: EncoderConfig) -> Tensor:
-    """Multi-head scaled dot-product attention with PAD keys masked out."""
+def self_attention(queries: Tensor, hidden: Tensor, mask: np.ndarray,
+                   bp: BlockParams, config: EncoderConfig) -> Tensor:
+    """Multi-head scaled dot-product attention with PAD keys masked out.
+
+    Keys and values come from every position of `hidden`; `queries` holds
+    the positions that attend, `hidden` itself for a full-width block.
+    """
     if np.any(mask.sum(axis=-1) < 1):
         raise ContractError("self_attention: sample with no real positions")
-    batch, seq_len, d = hidden.shape
+    batch, n_queries, d = queries.shape
     heads = config.n_heads
     dh = d // heads
 
     def split_heads(x):
-        return ag.transpose(ag.reshape(x, (batch, seq_len, heads, dh)),
+        return ag.transpose(ag.reshape(x, (batch, x.shape[1], heads, dh)),
                             (0, 2, 1, 3))
 
-    q = split_heads(ag.linear(hidden, bp.wq, bp.bq))
+    q = split_heads(ag.linear(queries, bp.wq, bp.bq))
     k = split_heads(ag.linear(hidden, bp.wk, bp.bk))
     v = split_heads(ag.linear(hidden, bp.wv, bp.bv))
     scores = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
     weights = masked_softmax(scores, mask)
     context = ag.matmul(weights, v)
     merged = ag.reshape(ag.transpose(context, (0, 2, 1, 3)),
-                        (batch, seq_len, d))
+                        (batch, n_queries, d))
     return ag.linear(merged, bp.wo, bp.bo)
 
 
-def encoder_block(hidden: Tensor, mask: np.ndarray, bp: BlockParams,
-                  config: EncoderConfig, mode: str,
+def encoder_block(queries: Tensor, hidden: Tensor, mask: np.ndarray,
+                  bp: BlockParams, config: EncoderConfig, mode: str,
                   rng: np.random.Generator) -> Tensor:
     """Post-norm block: attention and feed-forward sub-layers with
     residual connections and layer normalization.
 
-    Dropout masks are drawn at the full ``(batch, max_seq_len, d_model)``
-    shape whatever the width of `hidden`, so a step consumes the same
-    random numbers however many trailing PAD columns were cut.
+    Every position of `hidden` serves as key and value; the block's
+    output has one row per position of `queries` (`hidden` itself for a
+    full-width block).  Dropout masks are drawn at the full
+    ``(batch, max_seq_len, d_model)`` shape whatever the width of
+    `queries`, so a step consumes the same random numbers however many
+    columns were cut, and each kept position gets the mask values it
+    would get at full width.
     """
     draw_shape = (hidden.shape[0], config.max_seq_len, hidden.shape[2])
-    attn = self_attention(hidden, mask, bp, config)
+    attn = self_attention(queries, hidden, mask, bp, config)
     attn = dropout(attn, config.dropout_rate, mode, rng, draw_shape)
-    h1 = layer_norm(hidden + attn, bp.ln1_gain, bp.ln1_bias, LN_EPS)
+    h1 = layer_norm(queries + attn, bp.ln1_gain, bp.ln1_bias, LN_EPS)
     ff = ag.linear(gelu(ag.linear(h1, bp.w1, bp.b1)), bp.w2, bp.b2)
     ff = dropout(ff, config.dropout_rate, mode, rng, draw_shape)
     return layer_norm(h1 + ff, bp.ln2_gain, bp.ln2_bias, LN_EPS)
@@ -205,13 +213,18 @@ def encode_sequence(ids: np.ndarray, mask: np.ndarray, params: EncoderParams,
     Columns after the batch's last real position are cut first.  Masked
     keys get exactly zero attention weight and only position 0 is
     pooled, so the cut changes nothing but float rounding, and a batch
-    with no all-PAD trailing column runs unchanged.
+    with no all-PAD trailing column runs unchanged.  For the same reason
+    the last block attends from position 0 alone: its other positions
+    would reach neither the loss nor the prediction.
     """
     real_cols = np.flatnonzero(np.any(mask, axis=0))
     width = int(real_cols[-1]) + 1 if real_cols.size else ids.shape[1]
     ids, mask = ids[:, :width], mask[:, :width]
     hidden = embed(ids, params)
-    for idx in config.block_subset:
-        hidden = encoder_block(hidden, mask, params.blocks[idx], config,
-                               mode, rng)
-    return ag.take_first(hidden)
+    *full_width, last = config.block_subset
+    for idx in full_width:
+        hidden = encoder_block(hidden, hidden, mask, params.blocks[idx],
+                               config, mode, rng)
+    pooled = encoder_block(ag.take_first(hidden), hidden, mask,
+                           params.blocks[last], config, mode, rng)
+    return ag.reshape(pooled, (pooled.shape[0], pooled.shape[2]))

@@ -69,13 +69,18 @@ def relu(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact standard-normal CDF."""
-    cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
-    out_data = (x.data * cdf).astype(x.dtype)
+    # 0.5 * (1 + erf(x / sqrt 2)), built in one buffer.
+    cdf = x.data / math.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    out_data = (x.data * cdf).astype(x.dtype, copy=False)
 
     def bwd(g):
         if x.requires_grad:
             pdf = np.exp(-0.5 * x.data ** 2) / math.sqrt(2.0 * math.pi)
-            x.accumulate_grad(g * (cdf + x.data * pdf).astype(x.dtype))
+            x.accumulate_grad(g * (cdf + x.data * pdf).astype(x.dtype,
+                                                             copy=False))
 
     return Tensor(out_data, _parents=(x,), _backward=bwd)
 
@@ -105,10 +110,11 @@ def masked_softmax(scores: Tensor, key_mask: np.ndarray) -> Tensor:
     expanded = key_mask.reshape(
         key_mask.shape[0], *([1] * (scores.ndim - 2)), key_mask.shape[1])
     neg_inf = np.array(-np.inf, dtype=scores.dtype)
-    masked = np.where(expanded > 0, scores.data, neg_inf)
-    shifted = masked - masked.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    probs = exps / exps.sum(axis=-1, keepdims=True)
+    # Shift, exponentiate and normalise in the one buffer `where` made.
+    probs = np.where(expanded > 0, scores.data, neg_inf)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         if scores.requires_grad:
@@ -254,14 +260,24 @@ def adam_step(param: Parameter, state: AdamState) -> None:
         raise ArgumentError(
             f"adam_step: grad shape {param.grad.shape} != value shape "
             f"{param.data.shape} for {param.name}")
+    # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g;
+    # data -= lr * m_hat / (sqrt(v_hat) + eps), with the same operations
+    # in the same order, so bitwise equal, but written in place.
     g = param.grad
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    param.data -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(
-        param.data.dtype)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    g2 = (1.0 - state.beta2) * g
+    g2 *= g
+    state.v *= state.beta2
+    state.v += g2
+    step = state.m / (1.0 - state.beta1 ** state.t)
+    step *= state.lr
+    denom = np.divide(state.v, 1.0 - state.beta2 ** state.t, out=g2)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    param.data -= step.astype(param.data.dtype, copy=False)
 
 
 def assert_all_finite(params: list[Parameter]) -> None:

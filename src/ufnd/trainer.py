@@ -79,12 +79,14 @@ class TrainReport:
         for k, v in sorted(self.metadata.items()):
             lines.append(f"# {k}={v}")
         lines.append("epoch\ttrain_loss\tval_accuracy\tval_precision\t"
-                     "val_recall\tval_f1\tseconds")
+                     "val_recall\tval_f1\tseconds\tmax_pre_clip_norm\t"
+                     "clipped_steps")
         for r in self.epochs:
             m = r.val_metrics
             lines.append(f"{r.epoch}\t{r.train_loss:.6f}\t{m.accuracy:.6f}\t"
                          f"{m.precision:.6f}\t{m.recall:.6f}\t{m.f1:.6f}\t"
-                         f"{r.seconds:.3f}")
+                         f"{r.seconds:.3f}\t{r.max_pre_clip_norm:.6f}\t"
+                         f"{r.clipped_steps}")
         lines.append(f"best_epoch\t{self.best_epoch}")
         lines.append(f"best_val_accuracy\t{self.best_val_accuracy:.6f}")
         return "\n".join(lines) + "\n"
@@ -268,12 +270,22 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
 
 def estimate_cost(encoder_cfg: EncoderConfig, head_cfg: HeadConfig,
                   seq_len: int, batch_size: int) -> float:
-    """Multiply-accumulate count per training step (backward = 2x forward)."""
+    """Multiply-accumulate count per training step (backward = 2x forward).
+
+    The last retained block projects keys and values at every position
+    but runs queries, attention, output projection and feed-forward for
+    the pooled position only.
+    """
     d, ff = encoder_cfg.d_model, encoder_cfg.d_ff
-    per_block = (4 * seq_len * d * d          # Q/K/V/O projections
-                 + 2 * seq_len * seq_len * d  # scores and weighted values
-                 + 2 * seq_len * d * ff)      # feed-forward
-    encoder = seq_len * d + len(encoder_cfg.block_subset) * per_block
+
+    def block(n_queries):
+        return (2 * seq_len * d * d                # K/V projections
+                + 2 * n_queries * d * d            # Q/O projections
+                + 2 * n_queries * seq_len * d      # scores and weighted values
+                + 2 * n_queries * d * ff)          # feed-forward
+
+    n_blocks = len(encoder_cfg.block_subset)
+    encoder = seq_len * d + (n_blocks - 1) * block(seq_len) + block(1)
     head = (head_cfg.d_in * head_cfg.h1 + head_cfg.h1 * head_cfg.h2
             + head_cfg.h2 * head_cfg.n_classes)
     return 3.0 * batch_size * (encoder + head)

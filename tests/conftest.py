@@ -13,11 +13,13 @@ from ufnd.unified import EncodedSplit
 TOY_SEQ_LEN = 12
 
 
-def small_model(seed=3, dtype=np.float32, dropout_rate=0.1):
+def small_model(seed=3, dtype=np.float32, dropout_rate=0.1,
+                block_subset=(1, 2)):
     """The grad-check configuration: d_model 8, 2 heads, 2 blocks,
     head 8 -> 200 -> 150 -> 2."""
     enc = EncoderConfig(vocab_size=50, d_model=8, n_heads=2, d_ff=16,
-                        max_seq_len=8, n_blocks_total=2, block_subset=(1, 2),
+                        max_seq_len=8, n_blocks_total=2,
+                        block_subset=tuple(block_subset),
                         dropout_rate=dropout_rate)
     config = ModelConfig(encoder=enc,
                          head=HeadConfig(d_in=8, dropout_rate=dropout_rate))

@@ -97,7 +97,8 @@ class TestStructural:
     def test_take_first(self):
         x = Parameter(np.arange(24, dtype=np.float32).reshape(2, 3, 4), "x")
         out = ag.take_first(x)
-        np.testing.assert_array_equal(out.data, x.data[:, 0, :])
+        assert out.shape == (2, 1, 4)
+        np.testing.assert_array_equal(out.data[:, 0, :], x.data[:, 0, :])
         out.backward()
         assert x.grad[:, 0, :].sum() == 8.0
         assert x.grad[:, 1:, :].sum() == 0.0

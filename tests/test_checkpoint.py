@@ -35,6 +35,16 @@ class TestRoundTrip:
             np.testing.assert_array_equal(loaded.tensors[name], arr)
             assert loaded.tensors[name].dtype == arr.dtype
 
+    def test_loaded_tensors_are_writable_and_own_their_memory(self, tmp_path):
+        # Resume updates the Adam moments in place.
+        path = tmp_path / "c.ufnd"
+        save_checkpoint(sample_checkpoint(), path)
+        tensors = load_checkpoint(path).tensors
+        for arr in tensors.values():
+            assert arr.flags.writeable and arr.flags.owndata
+        tensors["model/w"] += 1.0
+        np.testing.assert_array_equal(tensors["model/b"], np.zeros(3))
+
     def test_bitwise_deterministic(self, tmp_path):
         ckpt = sample_checkpoint()
         a, b = tmp_path / "a.ufnd", tmp_path / "b.ufnd"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ufnd.checkpoint import load_checkpoint
-from ufnd.cli import (load_encoded, main, parse_config_file, resolve_config,
-                      save_encoded, sha256_file)
+from ufnd.cli import (cfg_bool, load_encoded, main, parse_config_file,
+                      resolve_config, save_encoded, sha256_file)
 from ufnd.errors import ArgumentError
 from ufnd.synthetic import make_synthetic_corpus, write_synthetic_csv
 
@@ -203,6 +203,41 @@ class TestStrictEncodedInput:
         assert str(bad) in err and message in err
         if row is not None:
             assert f"row {row}:" in err
+
+
+class TestStrictConfigValues:
+    @pytest.fixture(scope="class")
+    def prepped(self, tmp_path_factory):
+        return run_prep(tmp_path_factory.mktemp("strict_config"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("train.epochs", "three"),
+        ("train.lr", "fast"),
+        ("train.freeze_encoder", "maybe"),
+        ("model.block_subset", "1,x"),
+    ])
+    def test_bad_value_exits_2_naming_key_and_value(self, key, value,
+                                                     prepped, tmp_path,
+                                                     capsys):
+        config, prep_out = prepped
+        train_cfg = tmp_path / "train.cfg"
+        train_cfg.write_text(
+            config.read_text()
+            + f"data.train = {prep_out / 'ds1.train.npz'}\n"
+            + f"data.test = {prep_out / 'ds1.test.npz'}\n"
+            + f"{key} = {value}\n")
+        assert main(["train", "--config", str(train_cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and repr(value) in err
+        assert not (tmp_path / "out" / "checkpoint.ufnd").exists()
+
+    @pytest.mark.parametrize("value, expected", [
+        ("YES", True), ("on", True), ("1", True),
+        ("No", False), ("off", False), ("0", False)])
+    def test_bool_words(self, value, expected):
+        assert cfg_bool({"k": value}, "k", False) is expected
+        assert cfg_bool({}, "k", expected) is expected
 
 
 class TestPrepCommand:

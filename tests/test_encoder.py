@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import small_batch, small_model
 from ufnd import autograd as ag
+from ufnd import encoder as encoder_module
+from ufnd import model as model_module
 from ufnd.encoder import (EncoderConfig, embed, encode_sequence,
                           encoder_block, init_encoder_params, param_count,
                           select_blocks)
 from ufnd.errors import ArgumentError, ContractError
-from ufnd.numerics import RngStreams, nll_loss
+from ufnd.numerics import RngStreams, grad_check, nll_loss
 
 
 def tiny_encoder_config(**overrides):
@@ -200,10 +202,95 @@ class TestLengthCut:
                               np.random.default_rng(0)).data
         rng = np.random.default_rng(0)
         hidden = embed(ids, params)
-        for idx in cfg.block_subset:
-            hidden = encoder_block(hidden, mask, params.blocks[idx], cfg,
-                                   mode, rng)
-        np.testing.assert_array_equal(out, ag.take_first(hidden).data)
+        for idx in cfg.block_subset[:-1]:
+            hidden = encoder_block(hidden, hidden, mask, params.blocks[idx],
+                                   cfg, mode, rng)
+        pooled = encoder_block(ag.take_first(hidden), hidden, mask,
+                               params.blocks[cfg.block_subset[-1]], cfg,
+                               mode, rng)
+        np.testing.assert_array_equal(out, pooled.data[:, 0, :])
+
+
+def full_width_encode(ids, mask, params, config, mode, rng):
+    """The encoder with every block full width, then position 0 pooled."""
+    width = int(np.flatnonzero(np.any(mask, axis=0))[-1]) + 1
+    ids, mask = ids[:, :width], mask[:, :width]
+    hidden = embed(ids, params)
+    for idx in config.block_subset:
+        hidden = encoder_block(hidden, hidden, mask, params.blocks[idx],
+                               config, mode, rng)
+    first = ag.take_first(hidden)
+    return ag.reshape(first, (first.shape[0], first.shape[2]))
+
+
+class TestPooledLastBlock:
+    """The last retained block runs its queries at position 0 only."""
+
+    SUBSETS = [(1, 2), (2,)]
+
+    def test_last_block_attends_from_position_zero_only(self, monkeypatch):
+        cfg = tiny_encoder_config(block_subset=(1, 3, 4))
+        params = init_encoder_params(cfg, np.random.default_rng(0))
+        ids, mask = padded_rows([5, 3, 7], 8, seed=2, vocab_size=30)
+        seen = []
+        attention = encoder_module.self_attention
+
+        def recording(queries, hidden, *args):
+            seen.append((queries.shape, hidden.shape))
+            return attention(queries, hidden, *args)
+
+        monkeypatch.setattr(encoder_module, "self_attention", recording)
+        out = encode_sequence(ids, mask, params, cfg, "train",
+                              np.random.default_rng(0))
+        assert out.shape == (3, 8)
+        assert seen == [((3, 7, 8), (3, 7, 8))] * 2 + [((3, 1, 8),
+                                                        (3, 7, 8))]
+
+    @pytest.mark.parametrize("subset", SUBSETS)
+    def test_eval_log_probs_match_full_width(self, subset, monkeypatch):
+        model = small_model(seed=5, block_subset=subset)
+        ids, mask = padded_rows([8, 1, 3, 6], 8, seed=3)
+        pooled = model.forward(ids, mask, "eval").data
+        monkeypatch.setattr(model_module, "encode_sequence",
+                            full_width_encode)
+        reference = model.forward(ids, mask, "eval").data
+        np.testing.assert_allclose(pooled, reference, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("subset", SUBSETS)
+    def test_train_step_matches_full_width(self, subset, monkeypatch):
+        # float64: in float32 the head's batch norm turns the rounding of
+        # a [B, 1, D] product against a [B, L, D] one into relative
+        # gradient gaps of about 6e-4 in `head/l1/w`.
+        ids, mask = padded_rows([3, 5, 2, 4], 8, seed=1)
+        labels = np.array([0, 1, 1, 0])
+        results = []
+        for encode in (encode_sequence, full_width_encode):
+            monkeypatch.setattr(model_module, "encode_sequence", encode)
+            model = small_model(seed=7, dtype=np.float64,
+                                dropout_rate=0.3, block_subset=subset)
+            loss = nll_loss(model.forward(ids, mask, "train"), labels)
+            loss.backward()
+            results.append((loss.item(), model.parameters(),
+                            model.rng.stream("dropout").bit_generator.state))
+        (loss_pooled, params_pooled, state_pooled), (loss_full, params_full,
+                                                     state_full) = results
+        assert loss_pooled == pytest.approx(loss_full, rel=1e-5)
+        for pp, pf in zip(params_pooled, params_full):
+            np.testing.assert_allclose(pp.grad, pf.grad, rtol=1e-4,
+                                       atol=1e-6, err_msg=pf.name)
+        assert state_pooled == state_full
+
+    def test_float64_grad_check_single_block(self):
+        # Encoder parameters only, so the samples land where the pooled
+        # query's gradient flows back through `take_first`.
+        model = small_model(dtype=np.float64, dropout_rate=0.0,
+                            block_subset=(2,))
+        ids, mask, labels = small_batch()
+        res = grad_check(
+            lambda: nll_loss(model.forward(ids, mask, "eval"), labels),
+            model.encoder_params.parameters(), eps=1e-5, abs_floor=1e-10,
+            n_samples=60)
+        assert res.max_rel_error < 1e-4, res.worst_param
 
 
 class TestInitEncoderParams:

@@ -65,6 +65,21 @@ class TestGelu:
         np.testing.assert_allclose(x.grad, numeric, atol=1e-6)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_dtype_and_matches_formula(self, dtype):
+        from scipy.special import erf
+        rng = np.random.default_rng(4)
+        x = Parameter(rng.standard_normal((3, 5)).astype(dtype), "x")
+        before = x.data.copy()
+        out = gelu(x)
+        cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(x.data, before)
+        np.testing.assert_array_equal(out.data, x.data * cdf)
+        out.backward()
+        assert x.grad.dtype == dtype
+
+
 class TestLayerNorm:
     def _gain_bias(self, d, dtype=np.float64):
         return (Parameter(np.ones(d, dtype=dtype), "g"),
@@ -138,6 +153,25 @@ class TestMaskedSoftmax:
         out = masked_softmax(scores, mask)
         assert np.all(out.data[0, :, :, 3:] == 0.0)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_formula_bitwise_and_keeps_scores(self, dtype):
+        rng = np.random.default_rng(5)
+        scores = Parameter((rng.standard_normal((3, 2, 4, 6)) * 20
+                            ).astype(dtype), "s")
+        before = scores.data.copy()
+        mask = np.array([[1, 1, 1, 1, 0, 0], [1, 0, 0, 0, 0, 0],
+                         [1, 1, 1, 1, 1, 1]])
+        out = masked_softmax(scores, mask)
+        masked = np.where(mask[:, None, None, :] > 0, before,
+                          np.array(-np.inf, dtype=dtype))
+        exps = np.exp(masked - masked.max(axis=-1, keepdims=True))
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(scores.data, before)
+        np.testing.assert_array_equal(
+            out.data, exps / exps.sum(axis=-1, keepdims=True))
+        out.backward()
+        assert scores.grad.dtype == dtype
 
 
 class TestXavierInit:
@@ -216,6 +250,32 @@ class TestAdam:
             adam_step(p, state)
             values.append(abs(p.data[0]))
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_is_bitwise_the_formula(self, dtype):
+        rng = np.random.default_rng(8)
+        p = Parameter(rng.standard_normal((40, 7)).astype(dtype), "w")
+        state = AdamState.for_param(p, lr=0.003)
+        data, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(
+            p.data)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        for t in range(1, 13):
+            g = (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 2)
+                 ).astype(dtype)
+            p.grad = g.copy()
+            adam_step(p, state)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(dtype)
+            assert state.t == t
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+            np.testing.assert_array_equal(p.data, data)
+            np.testing.assert_array_equal(p.grad, g)
+            assert p.data.dtype == state.m.dtype == state.v.dtype == dtype
 
 
 class TestNllLoss:

@@ -155,6 +155,19 @@ class TestTrainLoop:
         text = report.render()
         assert "best_val_accuracy" in text
         assert "epoch\ttrain_loss" in text
+        lines = text.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.startswith("epoch\t"))
+        columns = lines[header].split("\t")
+        assert columns[-2:] == ["max_pre_clip_norm", "clipped_steps"]
+        (record,) = report.epochs
+        row = dict(zip(columns, lines[header + 1].split("\t")))
+        assert float(row["max_pre_clip_norm"]) == pytest.approx(
+            record.max_pre_clip_norm, abs=1e-6)
+        assert record.max_pre_clip_norm > 0.0
+        assert int(row["clipped_steps"]) == record.clipped_steps
+        assert lines[-1] == (f"best_val_accuracy\t"
+                             f"{report.best_val_accuracy:.6f}")
 
 
 class TestResume:
@@ -227,8 +240,10 @@ class TestEstimateCost:
                             block_subset=(1,))
         head = HeadConfig(d_in=4, h1=3, h2=2)
         L, d, ff = 16, 4, 8
-        per_block = 4 * L * d * d + 2 * L * L * d + 2 * L * d * ff
-        expected = 3.0 * 2 * (L * d + per_block + (4 * 3 + 3 * 2 + 2 * 2))
+        # the only block is the last: K/V at L positions, Q/O, attention
+        # and feed-forward at the pooled position alone
+        last_block = 2 * L * d * d + 2 * d * d + 2 * L * d + 2 * d * ff
+        expected = 3.0 * 2 * (L * d + last_block + (4 * 3 + 3 * 2 + 2 * 2))
         assert estimate_cost(enc, head, L, 2) == pytest.approx(expected)
 
     def test_desk_ratio_bracket(self):
