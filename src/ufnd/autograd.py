@@ -163,17 +163,56 @@ class Tensor:
         return self + (-other if isinstance(other, Tensor) else -np.asarray(other))
 
 
-class Parameter(Tensor):
-    """A named trainable tensor."""
+_GRAD_SLOT = Tensor.grad
 
-    __slots__ = ("name",)
+
+class Parameter(Tensor):
+    """A named trainable tensor.
+
+    Its gradient can arrive by rows (`accumulate_rows`): then only the
+    rows in play are stored, and `row_grad()` hands them to the
+    optimizer.  Reading `grad` still gives the whole dense array, built
+    from the rows on first read.
+    """
+
+    __slots__ = ("name", "_grad_rows", "_row_values")
 
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
+        self._grad_rows = self._row_values = None
 
     def __repr__(self):
         return f"Parameter(name={self.name!r}, shape={self.shape})"
+
+    @property
+    def grad(self):
+        if self._grad_rows is not None:
+            dense = np.zeros_like(self.data)
+            dense[self._grad_rows] = self._row_values
+            self.grad = dense
+        return _GRAD_SLOT.__get__(self)
+
+    @grad.setter
+    def grad(self, value):
+        _GRAD_SLOT.__set__(self, value)
+        self._grad_rows = self._row_values = None
+
+    def accumulate_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Add `values[i]` to row `rows[i]` of the gradient; `rows` must be
+        unique, and `values` becomes the parameter's (no copy is made)."""
+        if self._grad_rows is None and _GRAD_SLOT.__get__(self) is None:
+            self._grad_rows, self._row_values = rows, values
+        else:
+            self.grad[rows] += values
+
+    def row_grad(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The gradient as `(rows, values)`: `values[i]` is row `rows[i]`
+        and every other row is zero.  `rows` is None when `values` is the
+        whole dense gradient (or None, when there is no gradient)."""
+        if self._grad_rows is not None:
+            return self._grad_rows, self._row_values
+        return None, _GRAD_SLOT.__get__(self)
 
 
 # -- structural ops ----------------------------------------------------
@@ -218,8 +257,9 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     return Tensor(out_data, _parents=(x,), _backward=bwd)
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup `table[ids]` with scatter-add backward."""
+def embedding(table: Parameter, ids: np.ndarray) -> Tensor:
+    """Row lookup `table[ids]`; the backward hands `table` the gradient of
+    the looked-up rows only."""
     if ids.max(initial=0) >= table.shape[0]:
         raise ShapeError(
             f"embedding: id {int(ids.max())} out of range for table of "
@@ -228,9 +268,13 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
     def bwd(g):
         if table.requires_grad:
-            grad = np.zeros_like(table.data)
-            np.add.at(grad, ids, g)
-            table.accumulate_grad(grad)
+            # Each row sums its positions' gradients in the order a dense
+            # scatter would; only the rows in `ids` are stored.
+            rows, where = np.unique(ids, return_inverse=True)
+            values = np.zeros((rows.size,) + table.shape[1:],
+                              dtype=table.dtype)
+            np.add.at(values, where.reshape(ids.shape), g)
+            table.accumulate_rows(rows, values)
 
     return Tensor(out_data, _parents=(table,), _backward=bwd)
 

@@ -74,9 +74,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         raise
 
 
-def load_checkpoint(path) -> Checkpoint:
-    # The file is read once; each tensor is copied straight out of it,
-    # with no intermediate slice of the payload or of the tensor.
+def load_checkpoint(path, prefix: str = "") -> Checkpoint:
+    """Read a checkpoint, keeping only the tensors whose names start with
+    `prefix`.  The whole payload's checksum and every tensor's range are
+    checked whatever the prefix."""
+    # The file is read once; each kept tensor is copied straight out of
+    # it, with no intermediate slice of the payload or of the tensor.
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
     if len(blob) < 12 or blob[:4] != MAGIC:
@@ -101,6 +104,8 @@ def load_checkpoint(path) -> Checkpoint:
         start, nbytes = entry["offset"], entry["nbytes"]
         if start + nbytes > len(payload):
             raise IntegrityError(f"{path}: tensor '{entry['name']}' out of range")
+        if not entry["name"].startswith(prefix):
+            continue
         arr = np.frombuffer(payload[start:start + nbytes],
                             dtype=np.dtype(entry["dtype"]))
         tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()

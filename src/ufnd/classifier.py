@@ -11,7 +11,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Parameter, Tensor
 from .errors import ArgumentError, ContractError
-from .numerics import dropout, log_softmax, relu, xavier_init
+from .numerics import dropout, log_softmax, param_maker, relu
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,20 @@ class HeadParams:
 
 
 def init_head_params(cfg: HeadConfig, rng: np.random.Generator,
-                     dtype=np.float32) -> HeadParams:
+                     dtype=np.float32, arrays=None) -> HeadParams:
+    """Fresh parameters, or with `arrays` those arrays (`param_maker`)."""
+    make = param_maker(rng, dtype, arrays)
+
     def lin(name, fan_out, fan_in):
-        return (Parameter(xavier_init((fan_out, fan_in), rng, dtype), name + "/w"),
-                Parameter(np.zeros(fan_out, dtype=dtype), name + "/b"))
+        return (make(name + "/w", (fan_out, fan_in)),
+                make(name + "/b", fan_out, 0.0))
 
     def bn(name, width):
         return BatchNormState(
-            gain=Parameter(np.ones(width, dtype=dtype), name + "/gain"),
-            bias=Parameter(np.zeros(width, dtype=dtype), name + "/bias"),
-            running_mean=np.zeros(width, dtype=dtype),
-            running_var=np.ones(width, dtype=dtype),
+            gain=make(name + "/gain", width, 1.0),
+            bias=make(name + "/bias", width, 0.0),
+            running_mean=make(name + "/running_mean", width, 0.0).data,
+            running_var=make(name + "/running_var", width, 1.0).data,
             momentum=cfg.bn_momentum, eps=cfg.bn_eps)
 
     l1_w, l1_b = lin("head/l1", cfg.h1, cfg.d_in)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import zipfile
@@ -99,8 +100,15 @@ def cfg_int(config, key, default):
     return _cfg_value(config, key, default, int, "an integer")
 
 
+def _finite_float(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def cfg_float(config, key, default):
-    return _cfg_value(config, key, default, float, "a number")
+    return _cfg_value(config, key, default, _finite_float, "a finite number")
 
 
 def cfg_bool(config, key, default):
@@ -474,7 +482,7 @@ def cmd_eval(args) -> int:
     manifest = Manifest("eval", config, out)
     manifest.add_input(args.checkpoint)
     manifest.add_input(args.data)
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint, prefix="best/")
     ds, _ = load_encoded(args.data)
     expected = ckpt.config.get("vocab_hash", "")
     if expected and ds.vocab_hash and expected != ds.vocab_hash:

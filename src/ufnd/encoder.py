@@ -15,7 +15,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Parameter, Tensor
 from .errors import ArgumentError, ContractError
-from .numerics import dropout, gelu, layer_norm, masked_softmax, xavier_init
+from .numerics import dropout, gelu, layer_norm, masked_softmax, param_maker
 
 LN_EPS = 1e-5
 
@@ -92,21 +92,20 @@ class EncoderParams:
 
 
 def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
-                        dtype=np.float32) -> EncoderParams:
+                        dtype=np.float32, arrays=None) -> EncoderParams:
+    """Fresh parameters, or with `arrays` those arrays (`param_maker`)."""
     d, ff = config.d_model, config.d_ff
+    make = param_maker(rng, dtype, arrays)
 
     def lin(name, fan_out, fan_in):
-        w = Parameter(xavier_init((fan_out, fan_in), rng, dtype), name + "/w")
-        b = Parameter(np.zeros(fan_out, dtype=dtype), name + "/b")
-        return w, b
+        return (make(name + "/w", (fan_out, fan_in)),
+                make(name + "/b", fan_out, 0.0))
 
     params = EncoderParams(
-        token_embedding=Parameter(
-            xavier_init((config.vocab_size, d), rng, dtype),
-            "encoder/token_embedding"),
-        position_embedding=Parameter(
-            xavier_init((config.max_seq_len, d), rng, dtype),
-            "encoder/position_embedding"))
+        token_embedding=make("encoder/token_embedding",
+                             (config.vocab_size, d)),
+        position_embedding=make("encoder/position_embedding",
+                                (config.max_seq_len, d)))
     for idx in config.block_subset:
         prefix = f"encoder/block{idx}"
         wq, bq = lin(prefix + "/attn_q", d, d)
@@ -117,11 +116,11 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
         w2, b2 = lin(prefix + "/ff2", d, ff)
         params.blocks[idx] = BlockParams(
             wq=wq, bq=bq, wk=wk, bk=bk, wv=wv, bv=bv, wo=wo, bo=bo,
-            ln1_gain=Parameter(np.ones(d, dtype=dtype), prefix + "/ln1/gain"),
-            ln1_bias=Parameter(np.zeros(d, dtype=dtype), prefix + "/ln1/bias"),
+            ln1_gain=make(prefix + "/ln1/gain", d, 1.0),
+            ln1_bias=make(prefix + "/ln1/bias", d, 0.0),
             w1=w1, b1=b1, w2=w2, b2=b2,
-            ln2_gain=Parameter(np.ones(d, dtype=dtype), prefix + "/ln2/gain"),
-            ln2_bias=Parameter(np.zeros(d, dtype=dtype), prefix + "/ln2/bias"))
+            ln2_gain=make(prefix + "/ln2/gain", d, 1.0),
+            ln2_bias=make(prefix + "/ln2/bias", d, 0.0))
     return params
 
 
@@ -139,19 +138,8 @@ def param_count(config: EncoderConfig) -> int:
 def embed(ids: np.ndarray, params: EncoderParams) -> Tensor:
     """Token embedding plus position embedding, per position."""
     tok = ag.embedding(params.token_embedding, ids)
-    seq_len = ids.shape[1]
-    pos_data = params.position_embedding.data[:seq_len]
-
-    pos = Tensor(pos_data[None, :, :], _parents=(params.position_embedding,),
-                 _backward=lambda g: params.position_embedding.accumulate_grad(
-                     _pad_position_grad(g, params.position_embedding.data.shape)))
-    return tok + pos
-
-
-def _pad_position_grad(g: np.ndarray, full_shape) -> np.ndarray:
-    grad = np.zeros(full_shape, dtype=g.dtype)
-    grad[: g.shape[1]] = g.sum(axis=0)
-    return grad
+    positions = np.arange(ids.shape[1])[None, :]
+    return tok + ag.embedding(params.position_embedding, positions)
 
 
 def self_attention(queries: Tensor, hidden: Tensor, mask: np.ndarray,

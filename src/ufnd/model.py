@@ -49,18 +49,23 @@ def desk_config(vocab_size: int = 8000, max_seq_len: int = 120,
 
 
 class Model:
-    """Owns parameters, the rng streams, and the forward pass."""
+    """Owns parameters, the rng streams, and the forward pass.
+
+    With `arrays` (a `state_arrays()` dict) the model is built from those
+    arrays themselves, not copies, and draws nothing.
+    """
 
     def __init__(self, config: ModelConfig, rng: RngStreams,
-                 dtype=np.float32):
+                 dtype=np.float32,
+                 arrays: dict[str, np.ndarray] | None = None):
         self.config = config
         self.rng = rng
         self.dtype = dtype
         init = rng.stream("init")
         self.encoder_params: EncoderParams = init_encoder_params(
-            config.encoder, init, dtype)
+            config.encoder, init, dtype, arrays)
         self.head_params: HeadParams = init_head_params(
-            config.head, init, dtype)
+            config.head, init, dtype, arrays)
 
     def reinit_head(self) -> None:
         """Fresh random head weights (phase-2 re-initialization)."""

@@ -153,9 +153,9 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator,
             draw_shape: tuple[int, ...] | None = None) -> Tensor:
     """Inverted dropout; identity in eval mode or at rate 0.
 
-    With `draw_shape` the mask is drawn at that shape and its leading
-    corner of `x.shape` is kept: `rng.random` fills in C order, so `x`
-    gets the values it would get as that corner of a full-shape input.
+    With `draw_shape`, `x` gets the values it would get as the leading
+    corner of a `draw_shape` input, and `rng` ends where that full draw
+    would leave it; only the corner's values are drawn.
     """
     if not 0.0 <= rate < 1.0:
         raise ArgumentError(f"dropout rate must be in [0, 1), got {rate}")
@@ -163,8 +163,9 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator,
         return x
     if mode != "train":
         raise ArgumentError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    draws = rng.random(x.shape if draw_shape is None else draw_shape)
-    keep = (draws[tuple(slice(n) for n in x.shape)] >= rate).astype(x.dtype)
+    draws = np.empty(x.shape)
+    _draw_corner(rng, draws, tuple(draw_shape or x.shape))
+    keep = (draws >= rate).astype(x.dtype)
     scale = 1.0 / (1.0 - rate)
     out_data = x.data * keep * scale
 
@@ -173,6 +174,19 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator,
             x.accumulate_grad(g * keep * scale)
 
     return Tensor(out_data, _parents=(x,), _backward=bwd)
+
+
+def _draw_corner(rng: np.random.Generator, out: np.ndarray,
+                 full: tuple) -> None:
+    """Fill `out` with the leading corner of `rng.random(full)`, skipping
+    the values outside it with `advance`: `random` fills in C order and
+    takes one 64-bit output per float64 value."""
+    if out.shape[1:] == full[1:]:
+        rng.random(out=out)
+    else:
+        for row in out:
+            _draw_corner(rng, row, full[1:])
+    rng.bit_generator.advance((full[0] - out.shape[0]) * math.prod(full[1:]))
 
 
 # -- loss --------------------------------------------------------------
@@ -213,31 +227,66 @@ def xavier_init(shape: tuple, rng: np.random.Generator,
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def param_maker(rng: np.random.Generator, dtype=np.float32,
+                arrays: dict[str, np.ndarray] | None = None):
+    """`make(name, shape, fill=None)` builds the named parameter: a Xavier
+    draw from `rng`, or `fill` everywhere.  With `arrays` (say, a
+    checkpoint's) it takes `arrays[name]` itself instead and draws
+    nothing."""
+    def make(name: str, shape, fill: float | None = None) -> Parameter:
+        if arrays is not None:
+            data = arrays[name]
+        elif fill is None:
+            data = xavier_init(shape, rng, dtype)
+        else:
+            data = np.full(shape, fill, dtype=dtype)
+        return Parameter(data, name)
+    return make
+
+
 # -- optimizer stack ---------------------------------------------------
 
 
 def clip_global_norm(params: list[Parameter], clip: float) -> float:
     """Scale all gradients so their global L2 norm is at most `clip`.
 
-    Returns the pre-clip norm.
+    A gradient held by rows is squared and scaled on those rows only; its
+    other rows are zero.  Returns the pre-clip norm.
     """
     if clip <= 0:
         raise ArgumentError(f"clip must be positive, got {clip}")
+    grads = [g for _, g in (p.row_grad() for p in params) if g is not None]
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+    for g in grads:
+        total += float(np.sum(g.astype(np.float64) ** 2))
     norm = math.sqrt(total)
     if norm > clip:
         scale = clip / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+        for g in grads:
+            g *= scale
     return norm
+
+
+def _rows_in_use(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows where `m` or `v` has any nonzero bit (-0.0 counts)."""
+    def bits(a):
+        return a.reshape(len(a), -1).view(f"u{a.itemsize}")
+    return np.flatnonzero(np.any(bits(m) != 0, axis=1)
+                          | np.any(bits(v) != 0, axis=1))
 
 
 @dataclass
 class AdamState:
+    """Adam moments of one parameter.
+
+    `rows` are the rows the update runs on while gradients arrive by
+    rows: every row that has had a gradient since the state began, or on
+    resume carries a nonzero moment.  Any other row has zero gradient,
+    `m` and `v`, which the update leaves exactly as they are.  `rows` is
+    None once a dense gradient has arrived: the update then runs on the
+    whole arrays.
+    """
+
     m: np.ndarray
     v: np.ndarray
     t: int = 0
@@ -245,39 +294,66 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     lr: float = 0.003
+    rows: np.ndarray | None = field(
+        default_factory=lambda: np.empty(0, dtype=np.intp))
 
     @classmethod
     def for_param(cls, param: Parameter, lr: float = 0.003, **kwargs) -> "AdamState":
         return cls(m=np.zeros_like(param.data), v=np.zeros_like(param.data),
                    lr=lr, **kwargs)
 
+    def resume(self, m: np.ndarray, v: np.ndarray, t: int) -> None:
+        """Continue from saved moments after `t` steps."""
+        self.m, self.v, self.t = m, v, t
+        self.rows = _rows_in_use(m, v)
+
 
 def adam_step(param: Parameter, state: AdamState) -> None:
-    """One Adam update in place; a zero gradient leaves the value unchanged."""
-    if param.grad is None:
+    """One Adam update in place; a zero gradient leaves the value unchanged.
+
+    A gradient held by rows updates only `state.rows`, which is bitwise
+    the update of the whole arrays (see `AdamState`).
+    """
+    rows, g = param.row_grad()
+    if g is None:
         return
-    if param.grad.shape != param.data.shape:
+    if rows is not None and state.rows is not None:
+        state.t += 1
+        state.rows = kept = np.union1d(state.rows, rows)
+        kept_g = np.zeros((kept.size,) + g.shape[1:], dtype=g.dtype)
+        kept_g[np.searchsorted(kept, rows)] = g
+        m, v, data = state.m[kept], state.v[kept], param.data[kept]
+        _adam_update(state, m, v, data, kept_g)
+        state.m[kept], state.v[kept], param.data[kept] = m, v, data
+        return
+    g = param.grad
+    if g.shape != param.data.shape:
         raise ArgumentError(
-            f"adam_step: grad shape {param.grad.shape} != value shape "
+            f"adam_step: grad shape {g.shape} != value shape "
             f"{param.data.shape} for {param.name}")
+    state.t += 1
+    state.rows = None
+    _adam_update(state, state.m, state.v, param.data, g)
+
+
+def _adam_update(state: AdamState, m: np.ndarray, v: np.ndarray,
+                 data: np.ndarray, g: np.ndarray) -> None:
     # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g;
     # data -= lr * m_hat / (sqrt(v_hat) + eps), with the same operations
     # in the same order, so bitwise equal, but written in place.
-    g = param.grad
-    state.t += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
     g2 = (1.0 - state.beta2) * g
     g2 *= g
-    state.v *= state.beta2
-    state.v += g2
-    step = state.m / (1.0 - state.beta1 ** state.t)
+    v *= state.beta2
+    v += g2
+    step = m / (1.0 - state.beta1 ** state.t)
     step *= state.lr
-    denom = np.divide(state.v, 1.0 - state.beta2 ** state.t, out=g2)
+    denom = np.divide(v, 1.0 - state.beta2 ** state.t, out=g2)
     np.sqrt(denom, out=denom)
     denom += state.eps
     step /= denom
-    param.data -= step.astype(param.data.dtype, copy=False)
+    data -= step.astype(data.dtype, copy=False)
 
 
 def assert_all_finite(params: list[Parameter]) -> None:
@@ -285,7 +361,8 @@ def assert_all_finite(params: list[Parameter]) -> None:
     for p in params:
         if not np.all(np.isfinite(p.data)):
             raise NonFiniteError(p.name)
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+        _, g = p.row_grad()
+        if g is not None and not np.all(np.isfinite(g)):
             raise NonFiniteError(p.name + ".grad")
 
 

@@ -9,6 +9,7 @@ available via ``best_mode="select"``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -41,8 +42,8 @@ class TrainConfig:
     checked: bool = False
 
     def __post_init__(self):
-        if self.lr <= 0 or self.clip <= 0:
-            raise ArgumentError("lr and clip must be positive")
+        if not (0 < self.lr < math.inf and 0 < self.clip < math.inf):
+            raise ArgumentError("lr and clip must be positive and finite")
         if self.epochs < 1:
             raise ArgumentError("epochs must be >= 1")
         if self.batch_size < 2:
@@ -159,18 +160,19 @@ def make_checkpoint(model: Model, cfg: TrainConfig, adam: dict,
 
 def model_from_checkpoint(ckpt: Checkpoint, which: str = "best"
                           ) -> tuple[Model, TrainConfig]:
+    """The model whose parameters are the checkpoint's `which/` arrays
+    themselves (not copies), and its training config."""
     enc_cfg = dict(ckpt.config["encoder"])
     enc_cfg["block_subset"] = tuple(enc_cfg["block_subset"])
     config = ModelConfig(encoder=EncoderConfig(**enc_cfg),
                          head=HeadConfig(**ckpt.config["head"]))
     cfg = TrainConfig(**ckpt.config["train"])
     dtype = np.dtype(ckpt.config.get("dtype", "<f4"))
-    rng = RngStreams(cfg.seed)
-    model = Model(config, rng, dtype=dtype.type)
     prefix = which + "/"
     state = {name[len(prefix):]: arr for name, arr in ckpt.tensors.items()
              if name.startswith(prefix)}
-    model.load_state_arrays(state)
+    model = Model(config, RngStreams(cfg.seed), dtype=dtype.type,
+                  arrays=state)
     model.rng.restore(ckpt.meta["rng_state"])
     return model, cfg
 
@@ -216,9 +218,9 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
             if name.startswith("model/")})
         model.rng.restore(resume.meta["rng_state"])
         for name, state in adam.items():
-            state.m = resume.tensors[f"adam/{name}/m"].copy()
-            state.v = resume.tensors[f"adam/{name}/v"].copy()
-            state.t = resume.meta["adam_t"][name]
+            state.resume(resume.tensors[f"adam/{name}/m"].copy(),
+                         resume.tensors[f"adam/{name}/v"].copy(),
+                         resume.meta["adam_t"][name])
         start_epoch = resume.meta["epoch"]
         best_epoch = resume.meta["best_epoch"]
         best_acc = resume.meta["best_val_accuracy"]

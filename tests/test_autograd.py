@@ -89,6 +89,30 @@ class TestStructural:
         np.testing.assert_array_equal(table.grad[2], [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(table.grad[1], [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_embedding_row_gradient_is_the_dense_scatter(self, dtype):
+        rng = np.random.default_rng(4)
+        table = Parameter(rng.standard_normal((30, 5)).astype(dtype), "e")
+        ids = rng.integers(1, 12, size=(4, 9))
+        ids[:, 0] = 2
+        ids[1:, 6:] = 0  # trailing PAD, id 0
+        g = rng.standard_normal(ids.shape + (5,)).astype(dtype)
+        (ag.embedding(table, ids) * Tensor(g)).backward()
+        rows, values = table.row_grad()
+        np.testing.assert_array_equal(rows, np.unique(ids))
+        dense = np.zeros_like(table.data)
+        np.add.at(dense, ids, g)
+        assert values.dtype == dtype
+        np.testing.assert_array_equal(values, dense[rows])
+        np.testing.assert_array_equal(table.grad, dense)  # read densely
+        assert table.row_grad()[0] is None
+
+    def test_embedding_rows_add_to_an_earlier_gradient(self):
+        table = Parameter(np.zeros((5, 2)), "e")
+        table.grad = np.ones((5, 2))
+        ag.embedding(table, np.array([[3, 3, 1]])).backward()
+        np.testing.assert_array_equal(table.grad[:, 0], [1, 2, 1, 3, 1])
+
     def test_embedding_out_of_range(self):
         table = Parameter(np.zeros((4, 3), dtype=np.float32), "e")
         with pytest.raises(ShapeError):

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -134,6 +135,45 @@ class TestCorruption:
                          + header + struct.pack("<I", 0))
         with pytest.raises(IntegrityError):
             load_checkpoint(path)
+
+
+class TestPrefixLoad:
+    def _saved(self, tmp_path):
+        path = tmp_path / "c.ufnd"
+        save_checkpoint(sample_checkpoint(), path)
+        return path
+
+    def test_keeps_exactly_the_prefixed_tensors(self, tmp_path):
+        path = self._saved(tmp_path)
+        loaded = load_checkpoint(path, prefix="model/")
+        assert sorted(loaded.tensors) == ["model/b", "model/w"]
+        for name, arr in loaded.tensors.items():
+            np.testing.assert_array_equal(
+                arr, sample_checkpoint().tensors[name])
+            assert arr.flags.owndata
+        assert loaded.meta == sample_checkpoint().meta
+        assert load_checkpoint(path, prefix="best/").tensors == {}
+
+    def test_flipped_byte_outside_the_prefix_is_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        blob[12 + header_len] ^= 0x01  # first byte of "adam/w/m"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError, match="checksum"):
+            load_checkpoint(path, prefix="model/")
+
+    def test_range_of_a_skipped_tensor_is_checked(self, tmp_path):
+        path = self._saved(tmp_path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + header_len])
+        header["directory"][0]["offset"] = 10 ** 6  # "adam/w/m"
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new
+                         + blob[12 + header_len:])
+        with pytest.raises(IntegrityError, match="adam/w/m.*out of range"):
+            load_checkpoint(path, prefix="model/")
 
 
 class TestAtomicSave:

@@ -215,6 +215,10 @@ class TestStrictConfigValues:
         ("train.lr", "fast"),
         ("train.freeze_encoder", "maybe"),
         ("model.block_subset", "1,x"),
+        ("train.lr", "nan"),
+        ("train.lr", "inf"),
+        ("train.clip", "nan"),
+        ("train.clip", "inf"),
     ])
     def test_bad_value_exits_2_naming_key_and_value(self, key, value,
                                                      prepped, tmp_path,

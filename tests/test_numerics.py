@@ -146,6 +146,23 @@ class TestDropout:
         assert rng.random() == np.random.default_rng(5).random(37)[-1]
 
 
+    @pytest.mark.parametrize("shape", [(3, 1, 4), (3, 4, 4), (3, 6, 4),
+                                       (2, 4, 4)])
+    def test_corner_draws_match_a_full_draw(self, shape):
+        # Only the corner is drawn and the rest skipped with `advance`,
+        # which relies on `Generator.random` taking exactly one 64-bit
+        # output per float64 value.
+        full_shape = (3, 6, 4)
+        x = np.random.default_rng(1).standard_normal(shape)
+        full_rng = np.random.default_rng(9)
+        draws = full_rng.random(full_shape)[:shape[0], :shape[1]]
+        rng = np.random.default_rng(9)
+        out = dropout(Tensor(x), 0.4, "train", rng, full_shape)
+        keep = (draws >= 0.4).astype(x.dtype)
+        np.testing.assert_array_equal(out.data, x * keep * (1.0 / 0.6))
+        assert rng.bit_generator.state == full_rng.bit_generator.state
+
+
 class TestMaskedSoftmax:
     def test_masked_keys_get_exact_zero(self):
         scores = Tensor(np.random.default_rng(0).standard_normal((2, 3, 4, 5)))
@@ -222,6 +239,99 @@ class TestClipGlobalNorm:
             clip_global_norm(params, 1.0)
             post = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
             assert post <= 1.0 * (1 + 1e-6)
+
+
+class TestRowGradients:
+    """A table's gradient held by rows clips and steps exactly as the
+    dense gradient with zeros elsewhere."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_twelve_adam_steps_match_dense_adam_bitwise(self, dtype):
+        rng = np.random.default_rng(21)
+        start = rng.standard_normal((10, 3)).astype(dtype)
+        by_rows, dense = Parameter(start.copy(), "t"), Parameter(start, "t")
+        row_state = AdamState.for_param(by_rows)
+        dense_state = AdamState.for_param(dense)
+        # Row 7 has a gradient at step 1 only; row 5 is in every batch
+        # from step 3 on with an exactly zero gradient; row 9 in none.
+        pool = np.array([0, 1, 2, 3, 4, 6, 8])
+        for t in range(1, 13):
+            rows = rng.choice(pool, size=rng.integers(1, 5), replace=False)
+            extra = [7] if t == 1 else [5] if t >= 3 else []
+            rows = np.union1d(rows, np.array(extra, dtype=rows.dtype))
+            values = (rng.standard_normal((rows.size, 3))
+                      * 10.0 ** rng.integers(-4, 2)).astype(dtype)
+            values[rows == 5] = 0.0
+            by_rows.zero_grad()
+            by_rows.accumulate_rows(rows, values.copy())
+            dense.grad = np.zeros_like(start)
+            dense.grad[rows] = values
+            adam_step(by_rows, row_state)
+            adam_step(dense, dense_state)
+            if t == 6:  # continue from the moments alone, as on resume
+                saved = row_state
+                row_state = AdamState.for_param(by_rows)
+                row_state.resume(saved.m.copy(), saved.v.copy(), saved.t)
+                assert 7 in row_state.rows and 9 not in row_state.rows
+            assert dense_state.rows is None
+            np.testing.assert_array_equal(by_rows.data, dense.data)
+            np.testing.assert_array_equal(row_state.m, dense_state.m)
+            np.testing.assert_array_equal(row_state.v, dense_state.v)
+        assert row_state.t == dense_state.t == 12
+        assert row_state.rows.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert by_rows.data[9].tolist() == start[9].tolist()
+
+    def test_resume_keeps_rows_whose_moments_are_negative_zero(self):
+        # -0.0 is no fixed point: 0.9 * -0.0 + 0.1 * 0.0 is +0.0.
+        m = np.zeros((4, 2), dtype=np.float32)
+        m[2, 1] = -0.0
+        results = []
+        for by_rows in (True, False):
+            p = Parameter(np.ones((4, 2), dtype=np.float32), "t")
+            state = AdamState.for_param(p)
+            state.resume(m.copy(), np.zeros_like(m), 3)
+            if by_rows:
+                p.accumulate_rows(np.array([0]), np.ones((1, 2), np.float32))
+            else:
+                p.grad = np.zeros_like(m)
+                p.grad[0] = 1.0
+            adam_step(p, state)
+            results.append((p.data.tobytes(), state.m.tobytes(),
+                            state.v.tobytes()))
+        assert results[0] == results[1]
+
+    def _mixed(self, rng, values):
+        table_rows = np.array([1, 4, 6])
+        table_vals = values(rng, (3, 4))
+        bias = values(rng, (5,))
+        by_rows = [Parameter(np.zeros((8, 4)), "t"),
+                   Parameter(np.zeros(5), "b")]
+        by_rows[0].accumulate_rows(table_rows, table_vals.copy())
+        by_rows[1].grad = bias.copy()
+        dense = [Parameter(np.zeros((8, 4)), "t"), Parameter(np.zeros(5), "b")]
+        dense[0].grad = np.zeros((8, 4))
+        dense[0].grad[table_rows] = table_vals
+        dense[1].grad = bias.copy()
+        return by_rows, dense
+
+    def test_clip_of_row_and_dense_gradients_is_the_dense_clip(self):
+        # Quarter integers square and sum exactly in any order, so the
+        # norm and the scaled gradients agree bitwise.
+        by_rows, dense = self._mixed(
+            np.random.default_rng(3),
+            lambda rng, shape: rng.integers(-8, 9, shape) / 4.0)
+        pre = clip_global_norm(by_rows, 1.0)
+        assert pre == clip_global_norm(dense, 1.0) and pre > 1.0
+        assert by_rows[0].row_grad()[0].tolist() == [1, 4, 6]
+        for a, b in zip(by_rows, dense):
+            np.testing.assert_array_equal(a.grad, b.grad)
+
+    def test_clip_norm_of_row_gradients_agrees_to_rounding(self):
+        by_rows, dense = self._mixed(
+            np.random.default_rng(4),
+            lambda rng, shape: rng.standard_normal(shape) * 3.0)
+        assert clip_global_norm(by_rows, 1.0) == pytest.approx(
+            clip_global_norm(dense, 1.0), rel=1e-14)
 
 
 class TestAdam:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import small_batch, small_model, toy_model_config
+from ufnd import trainer
 from ufnd.autograd import no_grad
 from ufnd.checkpoint import load_checkpoint, save_checkpoint
 from ufnd.classifier import HeadConfig
@@ -11,7 +12,7 @@ from ufnd.encoder import EncoderConfig
 from ufnd.errors import ArgumentError, ShapeError
 from ufnd.model import Model, desk_config
 from ufnd.numerics import RngStreams, grad_check, nll_loss
-from ufnd.textprep import EncodedDataset
+from ufnd.textprep import CLS_ID, EncodedDataset
 from ufnd.trainer import (TrainConfig, batch_iterator, estimate_cost,
                           evaluate, model_from_checkpoint, predict_dataset,
                           train)
@@ -39,6 +40,12 @@ class TestTrainConfig:
             TrainConfig(seed=0, batch_size=1)
         with pytest.raises(ArgumentError):
             TrainConfig(seed=0, best_mode="other")
+
+    @pytest.mark.parametrize("field", ["lr", "clip"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ArgumentError, match="finite"):
+            TrainConfig(seed=0, **{field: value})
 
 
 class TestBatchIterator:
@@ -200,6 +207,54 @@ class TestResume:
             np.testing.assert_array_equal(full_ckpt.tensors[name],
                                           resumed_ckpt.tensors[name])
 
+    def test_resume_onto_rows_the_first_call_never_touched(
+            self, toy_split, tmp_path, monkeypatch):
+        # The second call trains on token ids shifted past every id of the
+        # first, so after the resume the first call's rows move on their
+        # moments alone and the new rows join.  The reference reads every
+        # gradient densely before clipping, which sends clip and Adam down
+        # their whole-array path.  No step clips (clip 1e9): dense and row
+        # clipping sum the same squares in different orders.
+        split_data, vocab = toy_split
+        first = split_data.train
+        shift = len(vocab)
+        second = replace(first, ids=np.where(first.ids > CLS_ID,
+                                             first.ids + shift, first.ids))
+        cfg = toy_model_config(2 * len(vocab))
+
+        def run(epochs, ds, resume=None):
+            model = Model(cfg, RngStreams(17))
+            return train(model, ds, split_data.test,
+                         small_train_cfg(seed=17, epochs=epochs, clip=1e9,
+                                         best_mode="select"),
+                         resume=resume)
+
+        def two_calls():
+            mid, _ = run(1, first)
+            save_checkpoint(mid, tmp_path / "mid.ufnd")
+            return run(2, second, load_checkpoint(tmp_path / "mid.ufnd"))
+
+        by_rows, by_rows_report = two_calls()
+        mid = load_checkpoint(tmp_path / "mid.ufnd")
+        dense_clip = trainer.clip_global_norm
+
+        def clip_dense(params, clip):
+            for p in params:
+                p.grad  # a dense read
+            return dense_clip(params, clip)
+
+        monkeypatch.setattr(trainer, "clip_global_norm", clip_dense)
+        dense, dense_report = two_calls()
+        table = "encoder/token_embedding"
+        moved = (by_rows.tensors["model/" + table]
+                 != mid.tensors["model/" + table]).any(axis=1)
+        assert moved[CLS_ID + 1:shift].any() and moved[shift:].any()
+        assert by_rows_report.loss_trace() == dense_report.loss_trace()
+        assert by_rows.tensors.keys() == dense.tensors.keys()
+        for name in dense.tensors:
+            np.testing.assert_array_equal(by_rows.tensors[name],
+                                          dense.tensors[name], err_msg=name)
+
     def test_model_roundtrip_through_file(self, toy_split, tmp_path):
         split_data, vocab = toy_split
         model = Model(toy_model_config(len(vocab)), RngStreams(8))
@@ -209,6 +264,10 @@ class TestResume:
         save_checkpoint(ckpt, path)
         restored, cfg = model_from_checkpoint(load_checkpoint(path))
         assert cfg.seed == 8
+        best = load_checkpoint(path, prefix="best/")
+        built, _ = model_from_checkpoint(best)
+        for name, arr in built.state_arrays().items():
+            assert arr is best.tensors["best/" + name]  # not a copy
         a = evaluate(model, split_data.test).accuracy
         b = evaluate(restored, split_data.test).accuracy
         assert a == pytest.approx(b)
