@@ -36,8 +36,7 @@ def main():
 
     datasets = [enc_split(c) for c in corpora]
     model_cfg = tiny_config(vocab_size=len(vocab), max_seq_len=12)
-    train_cfg = TrainConfig(seed=SEED, epochs=10, batch_size=16,
-                            max_seq_len=12)
+    train_cfg = TrainConfig(seed=SEED, epochs=10, batch_size=16)
     baselines = {c.name: 0.85 for c in corpora}
 
     print("phase 1: per-dataset training, batch sizes 16 and 32, "

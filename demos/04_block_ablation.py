@@ -35,7 +35,7 @@ def main():
                             encode_corpus(sc.train, vocab, prep),
                             encode_corpus(sc.test, vocab, prep))
     model_cfg = tiny_config(vocab_size=len(vocab), max_seq_len=12)
-    train_cfg = TrainConfig(seed=5, epochs=5, batch_size=16, max_seq_len=12)
+    train_cfg = TrainConfig(seed=5, epochs=5, batch_size=16)
     grid = AblationGrid(block_subsets=((1, 2), (1,), (2,)),
                         batch_sizes=(16, 32))
     rows = ablate(combined, model_cfg, train_cfg, grid)

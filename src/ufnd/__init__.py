@@ -17,6 +17,6 @@ from .textprep import (PrepConfig, Vocabulary, build_vocab, encode,
                        seq_length_stats)
 from .trainer import TrainConfig, batch_iterator, estimate_cost, evaluate, train
 from .unified import (AblationGrid, EncodedSplit, ablate, check_acceptable,
-                      compare_preprocessing, phase_one, phase_two)
+                      phase_one, phase_two)
 
 __version__ = "0.1.0"

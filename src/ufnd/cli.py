@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
+import re
 import sys
 import time
 import zipfile
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,27 +24,81 @@ import numpy as np
 
 from .classifier import HeadConfig
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import ColumnMap, Corpus, combine, load_dataset, split
+from .corpus import ColumnMap, combine, load_dataset, split
 from .encoder import EncoderConfig
 from .errors import (ArgumentError, DataError, IncompatibilityError,
                      SchemaError, UfndError)
 from .metrics import POSITIVE_CLASS_NOTE, compute_metrics, confusion
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, desk_config
 from .numerics import RngStreams
 from .textprep import (CLS_ID, EncodedDataset, PrepConfig, build_vocab,
                        encode_corpus, save_vocab, seq_length_stats)
-from .trainer import (TrainConfig, evaluate, model_from_checkpoint,
-                      predict_dataset, train)
+from .trainer import (TrainConfig, model_from_checkpoint, predict_dataset,
+                      train)
 # `phase_two` is unused here; bench/spans.py traces it through this
 # module's namespace.
-from .unified import (AblationGrid, EncodedSplit, ablate, ablation_table,
+from .unified import (DEFAULT_BATCH_SIZES, DEFAULT_BLOCK_SUBSETS,
+                      AblationGrid, EncodedSplit, ablate, ablation_table,
                       load_baselines, per_dataset_table, phase_one,
                       phase_two, phase_two_sweep, render_aligned,
                       render_delimited, sweep_table)
 
-DEFAULT_SEED = 20220
-
 # -- config and manifest plumbing --------------------------------------
+
+
+BOOL_WORDS = {"1": True, "true": True, "on": True, "yes": True,
+              "0": False, "false": False, "off": False, "no": False}
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in raw.split(",") if v != "")
+
+
+INT = (int, "an integer")
+NUMBER = (_finite, "a finite number")
+BOOL = (lambda raw: BOOL_WORDS[raw.lower()], "one of " + "/".join(BOOL_WORDS))
+INTS = (_ints, "a comma-separated list of integers")
+INT_LISTS = (lambda raw: tuple(map(_ints, raw.split(";"))),
+             "';'-separated lists of integers")
+TEXT = (str, "a string")
+LABEL_PAIRS = (lambda raw: {label: int(value) for label, value in
+                            (pair.split(":") for pair in raw.split(","))},
+               "a comma-separated list of label:integer pairs")
+
+# Every typed config key, with its parser and what the parser expects.  A
+# key left out takes the default of what it feeds (`PrepConfig`,
+# `TrainConfig`, the `desk_config` model, `build_vocab`, `load_dataset`,
+# `AblationGrid`, `DEFAULT_BATCH_SIZES`) or else of `CLI_DEFAULTS`.
+KEYS = {
+    "prep.min_word_len": INT, "prep.max_seq_len": INT,
+    "prep.lowercase": BOOL, "prep.strip_nonalnum": BOOL,
+    "split.ratio": NUMBER, "vocab.max_size": INT, "vocab.min_freq": INT,
+    "data.delimiter": TEXT,
+    "train.seed": INT, "train.lr": NUMBER, "train.clip": NUMBER,
+    "train.epochs": INT, "train.batch_size": INT,
+    "train.dropout_rate": NUMBER, "train.freeze_encoder": BOOL,
+    "train.best_mode": TEXT, "train.checked": BOOL,
+    "model.n_blocks_total": INT, "model.block_subset": INTS,
+    "model.d_model": INT, "model.n_heads": INT, "model.d_ff": INT,
+    "model.h1": INT, "model.h2": INT,
+    "unify.threshold": NUMBER, "unify.batch_sizes": INTS,
+    "ablate.subsets": INT_LISTS, "ablate.batch_sizes": INTS,
+}
+CLI_DEFAULTS = {"train.seed": 20220, "split.ratio": 0.8,
+                "vocab.max_size": 8000, "unify.threshold": 0.10}
+
+# The path and name keys, read as written.
+PATH_KEYS = re.compile(
+    r"data\d+\.(path|text_columns|label_column|label_mapping|name)"
+    r"|dataset\d+\.(train|test|name)"
+    r"|(data|combined|combined_noprep)\.(train|test|name)|baselines")
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -54,7 +111,11 @@ def parse_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ArgumentError(f"{path}:{line_no}: expected key=value")
             key, value = line.split("=", 1)
-            config[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in KEYS and not PATH_KEYS.fullmatch(key):
+                raise SchemaError(f"{path}:{line_no}: unknown config key "
+                                  f"{key!r}")
+            config[key] = value.strip()
     return config
 
 
@@ -81,14 +142,7 @@ def resolve_config(args) -> dict[str, str]:
     return config
 
 
-BOOL_WORDS = {"1": True, "true": True, "on": True, "yes": True,
-              "0": False, "false": False, "off": False, "no": False}
-
-
-def _cfg_value(config, key, default, parse, expected):
-    """`parse` the value of `key`; a value it rejects is a `SchemaError`
-    naming the key and the value."""
-    raw = config.get(key, default)
+def _parse(key: str, raw: str, parse, expected: str):
     try:
         return parse(raw)
     except (ValueError, KeyError):
@@ -96,34 +150,35 @@ def _cfg_value(config, key, default, parse, expected):
                           ) from None
 
 
-def cfg_int(config, key, default):
-    return _cfg_value(config, key, default, int, "an integer")
+def parse_settings(config: dict[str, str]) -> dict:
+    """`CLI_DEFAULTS` updated with the typed keys of `config`, each parsed by
+    its `KEYS` parser; a value that its parser rejects is a `SchemaError`."""
+    return {**CLI_DEFAULTS, **{key: _parse(key, raw, *KEYS[key])
+                               for key, raw in config.items() if key in KEYS}}
 
 
-def _finite_float(raw) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(raw)
-    return value
-
-
-def cfg_float(config, key, default):
-    return _cfg_value(config, key, default, _finite_float, "a finite number")
-
-
-def cfg_bool(config, key, default):
-    return _cfg_value(config, key, default,
-                      lambda raw: BOOL_WORDS[str(raw).lower()],
-                      "one of " + "/".join(BOOL_WORDS))
-
-
-def cfg_ints(config, key, default):
+def _required(config: dict[str, str], key: str, kind=TEXT):
+    """The value of `key`, parsed by `kind`; a missing key is bad input."""
     if key not in config:
-        return tuple(default)
-    return _cfg_value(
-        config, key, None,
-        lambda raw: tuple(int(v) for v in str(raw).split(",") if v != ""),
-        "a comma-separated list of integers")
+        raise SchemaError(f"config key {key} is required")
+    return _parse(key, config[key], *kind)
+
+
+def _given(settings: dict, prefix: str, target) -> dict:
+    """`{name: settings[prefix + name]}` for each parameter `name` of
+    `target` whose key is set; the others keep `target`'s defaults."""
+    return {name: settings[prefix + name]
+            for name in inspect.signature(target).parameters
+            if prefix + name in settings}
+
+
+@contextmanager
+def _config_class_errors():
+    """A value that a config class rejects is bad config input."""
+    try:
+        yield
+    except ArgumentError as exc:
+        raise SchemaError(f"config: {exc}") from None
 
 
 def sha256_file(path) -> str:
@@ -135,12 +190,12 @@ def sha256_file(path) -> str:
 
 
 class Manifest:
-    def __init__(self, command: str, config: dict, out_dir: Path):
-        self.data = {"command": command, "config": config,
-                     "seeds": [cfg_int(config, "train.seed", DEFAULT_SEED)],
+    def __init__(self, command: str, config: dict, out_dir: Path, seed: int):
+        self.data = {"command": command, "config": config, "seeds": [seed],
                      "inputs": {}, "artifacts": [],
                      "started": time.strftime("%Y-%m-%dT%H:%M:%S")}
         self.out_dir = out_dir
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     def add_input(self, path):
         self.data["inputs"][str(path)] = sha256_file(path)
@@ -156,6 +211,33 @@ class Manifest:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _start(command: str, args) -> tuple[dict, dict, Manifest]:
+    """The config, its parsed settings and the command's manifest."""
+    config = resolve_config(args)
+    settings = parse_settings(config)
+    return config, settings, Manifest(command, config, Path(args.out),
+                                      settings["train.seed"])
+
+
+def _configs(settings: dict, meta: dict) -> tuple[ModelConfig, TrainConfig]:
+    """The `desk_config` model sized to a split's `meta`, and the training
+    config, with the `model.*` and `train.*` settings over their defaults."""
+    desk = desk_config(meta["vocab_size"], meta["max_seq_len"])
+    encoder = _given(settings, "model.", EncoderConfig)
+    head = _given(settings, "model.", HeadConfig)
+    if "train.dropout_rate" in settings:
+        encoder["dropout_rate"] = head["dropout_rate"] = \
+            settings["train.dropout_rate"]
+    if "model.n_blocks_total" in settings:
+        encoder.setdefault("block_subset", tuple(
+            range(1, settings["model.n_blocks_total"] + 1)))
+    with _config_class_errors():
+        enc = replace(desk.encoder, **encoder)
+        return (ModelConfig(encoder=enc, head=replace(
+                    desk.head, d_in=enc.d_model, **head)),
+                TrainConfig(**_given(settings, "train.", TrainConfig)))
 
 
 # -- encoded-corpus files ----------------------------------------------
@@ -211,69 +293,28 @@ def load_encoded(path) -> tuple[EncodedDataset, dict]:
     return ds, meta
 
 
-def _load_split(config, prefix, default_name) -> tuple[EncodedSplit, dict,
-                                                       list]:
-    paths = [config[prefix + ".train"], config[prefix + ".test"]]
+def _load_split(config, manifest, prefix, default_name=None
+                ) -> tuple[EncodedSplit, dict]:
+    """The split under `prefix`, its files recorded as inputs, and its meta."""
+    paths = [_required(config, prefix + ".train"),
+             _required(config, prefix + ".test")]
     train_ds, meta = load_encoded(paths[0])
     test_ds, _ = load_encoded(paths[1])
-    name = config.get(prefix + ".name", default_name)
-    return EncodedSplit(name=name, train=train_ds, test=test_ds), meta, paths
-
-
-# -- shared model/train construction -----------------------------------
-
-
-def build_model_config(config: dict, vocab_size: int,
-                       max_seq_len: int) -> ModelConfig:
-    n_total = cfg_int(config, "model.n_blocks_total", 12)
-    subset = cfg_ints(config, "model.block_subset", range(1, n_total + 1))
-    d_model = cfg_int(config, "model.d_model", 64)
-    enc = EncoderConfig(
-        vocab_size=vocab_size, d_model=d_model,
-        n_heads=cfg_int(config, "model.n_heads", 4),
-        d_ff=cfg_int(config, "model.d_ff", 256),
-        max_seq_len=max_seq_len, n_blocks_total=n_total,
-        block_subset=subset,
-        dropout_rate=cfg_float(config, "train.dropout_rate", 0.1))
-    head = HeadConfig(
-        d_in=d_model, h1=cfg_int(config, "model.h1", 200),
-        h2=cfg_int(config, "model.h2", 150),
-        dropout_rate=cfg_float(config, "train.dropout_rate", 0.1))
-    return ModelConfig(encoder=enc, head=head)
-
-
-def build_train_config(config: dict, max_seq_len: int) -> TrainConfig:
-    return TrainConfig(
-        seed=cfg_int(config, "train.seed", DEFAULT_SEED),
-        lr=cfg_float(config, "train.lr", 0.003),
-        clip=cfg_float(config, "train.clip", 1.0),
-        epochs=cfg_int(config, "train.epochs", 50),
-        batch_size=cfg_int(config, "train.batch_size", 32),
-        dropout_rate=cfg_float(config, "train.dropout_rate", 0.1),
-        freeze_encoder=cfg_bool(config, "train.freeze_encoder", False),
-        max_seq_len=max_seq_len,
-        preprocessing_enabled=cfg_int(config, "prep.min_word_len", 3) > 1,
-        best_mode=config.get("train.best_mode", "rollback"),
-        checked=cfg_bool(config, "train.checked", False))
+    for path in paths:
+        manifest.add_input(path)
+    name = config.get(prefix + ".name", default_name or prefix)
+    return EncodedSplit(name=name, train=train_ds, test=test_ds), meta
 
 
 # -- commands ----------------------------------------------------------
 
 
 def cmd_prep(args) -> int:
-    config = resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest("prep", config, out)
-
-    prep = PrepConfig(
-        min_word_len=cfg_int(config, "prep.min_word_len", 3),
-        max_seq_len=cfg_int(config, "prep.max_seq_len", 120),
-        lowercase=cfg_bool(config, "prep.lowercase", True),
-        strip_nonalnum=cfg_bool(config, "prep.strip_nonalnum", True))
-    ratio = cfg_float(config, "split.ratio", 0.8)
-    seed = cfg_int(config, "train.seed", DEFAULT_SEED)
-    delimiter = config.get("data.delimiter", ",")
+    config, settings, manifest = _start("prep", args)
+    with _config_class_errors():
+        prep = PrepConfig(**_given(settings, "prep.", PrepConfig))
+    ratio = settings["split.ratio"]
+    seed = settings["train.seed"]
 
     corpora = {}
     reports = []
@@ -281,25 +322,25 @@ def cmd_prep(args) -> int:
     while f"data{i}.path" in config:
         prefix = f"data{i}"
         cmap = ColumnMap(
-            text_columns=tuple(config[prefix + ".text_columns"].split(",")),
-            label_column=config[prefix + ".label_column"],
-            label_mapping={k: int(v) for k, v in
-                           (pair.split(":") for pair in
-                            config[prefix + ".label_mapping"].split(","))})
+            text_columns=tuple(
+                _required(config, prefix + ".text_columns").split(",")),
+            label_column=_required(config, prefix + ".label_column"),
+            label_mapping=_required(config, prefix + ".label_mapping",
+                                    LABEL_PAIRS))
         name = config.get(prefix + ".name", prefix)
         manifest.add_input(config[prefix + ".path"])
         corpus, report = load_dataset(config[prefix + ".path"], cmap, name,
-                                      delimiter=delimiter)
+                                      **_given(settings, "data.",
+                                               load_dataset))
         corpora[name] = corpus
         reports.append(report)
         i += 1
     if not corpora:
         raise ArgumentError("no data1.path entry in the configuration")
 
-    vocab_size = cfg_int(config, "vocab.max_size", 8000)
     combined = combine(list(corpora.values()))
-    vocab = build_vocab(combined, prep, vocab_size,
-                        cfg_int(config, "vocab.min_freq", 1))
+    vocab = build_vocab(combined, prep,
+                        **_given(settings, "vocab.", build_vocab))
     save_vocab(vocab, manifest.artifact("vocab.txt"))
 
     with open(manifest.artifact("load_report.txt"), "w",
@@ -317,32 +358,19 @@ def cmd_prep(args) -> int:
             fh.write(f"{mode}\tmean={s['mean']:.2f}\tmax={s['max']}\t"
                      f"p95={s['percentile_95']:.1f}\n")
 
-    for name, corpus in corpora.items():
+    for name, corpus in [*corpora.items(), ("combined", combined)]:
         sc = split(corpus, ratio, seed)
-        save_encoded(encode_corpus(sc.train, vocab, prep),
-                     manifest.artifact(f"{name}.train.npz"), len(vocab))
-        save_encoded(encode_corpus(sc.test, vocab, prep),
-                     manifest.artifact(f"{name}.test.npz"), len(vocab))
-    sc = split(combined, ratio, seed)
-    save_encoded(encode_corpus(sc.train, vocab, prep),
-                 manifest.artifact("combined.train.npz"), len(vocab))
-    save_encoded(encode_corpus(sc.test, vocab, prep),
-                 manifest.artifact("combined.test.npz"), len(vocab))
+        for part, docs in (("train", sc.train), ("test", sc.test)):
+            save_encoded(encode_corpus(docs, vocab, prep),
+                         manifest.artifact(f"{name}.{part}.npz"), len(vocab))
     manifest.write()
     return 0
 
 
 def cmd_train(args) -> int:
-    config = resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest("train", config, out)
-    ds, meta, paths = _load_split(config, "data", "dataset")
-    for p in paths:
-        manifest.add_input(p)
-    model_cfg = build_model_config(config, meta["vocab_size"],
-                                   meta["max_seq_len"])
-    train_cfg = build_train_config(config, meta["max_seq_len"])
+    config, settings, manifest = _start("train", args)
+    ds, meta = _load_split(config, manifest, "data", "dataset")
+    model_cfg, train_cfg = _configs(settings, meta)
     model = Model(model_cfg, RngStreams(train_cfg.seed))
     ckpt, report = train(model, ds.train, ds.test, train_cfg,
                          vocab_hash=ds.train.vocab_hash)
@@ -357,45 +385,31 @@ def cmd_train(args) -> int:
 
 
 def cmd_unify(args) -> int:
-    config = resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest("unify", config, out)
+    config, settings, manifest = _start("unify", args)
 
     datasets = []
     meta = None
     i = 1
     while f"dataset{i}.train" in config:
-        ds, meta, paths = _load_split(config, f"dataset{i}", f"dataset{i}")
-        for p in paths:
-            manifest.add_input(p)
+        ds, meta = _load_split(config, manifest, f"dataset{i}")
         datasets.append(ds)
         i += 1
     if not datasets:
         raise ArgumentError("no dataset1.train entry in the configuration")
-    baselines_path = config["baselines"]
+    baselines_path = _required(config, "baselines")
     manifest.add_input(baselines_path)
     baselines = load_baselines(baselines_path)
 
-    model_cfg = build_model_config(config, meta["vocab_size"],
-                                   meta["max_seq_len"])
-    train_cfg = build_train_config(config, meta["max_seq_len"])
-    threshold = cfg_float(config, "unify.threshold", 0.10)
-    batch_sizes = cfg_ints(config, "unify.batch_sizes",
-                           (16, 32, 64, 128, 256, 512, 1024))
+    model_cfg, train_cfg = _configs(settings, meta)
+    threshold = settings["unify.threshold"]
+    batch_sizes = settings.get("unify.batch_sizes", DEFAULT_BATCH_SIZES)
 
     noprep = None
     if "combined_noprep.train" in config:
         # Loaded and sized before phase 1, from its own vocabulary.
-        noprep, noprep_meta, paths = _load_split(config, "combined_noprep",
-                                                 "combined-noprep")
-        for p in paths:
-            manifest.add_input(p)
-        noprep_model_cfg = build_model_config(
-            config, noprep_meta["vocab_size"], noprep.train.max_seq_len)
-        noprep_train_cfg = replace(train_cfg,
-                                   max_seq_len=noprep.train.max_seq_len,
-                                   preprocessing_enabled=False)
+        noprep, noprep_meta = _load_split(config, manifest, "combined_noprep",
+                                          "combined-noprep")
+        noprep_model_cfg, _ = _configs(settings, noprep_meta)
 
     result = phase_one(datasets, [(model_cfg, train_cfg)], baselines,
                        threshold, batch_sizes)
@@ -416,9 +430,7 @@ def cmd_unify(args) -> int:
     best_dataset = max(result.best_metrics,
                        key=lambda n: result.best_metrics[n].accuracy)
     encoder_source = result.best_checkpoints[best_dataset]
-    combined, _, paths = _load_split(config, "combined", "combined")
-    for p in paths:
-        manifest.add_input(p)
+    combined, _ = _load_split(config, manifest, "combined")
     cells, ckpt, report = phase_two_sweep(combined, model_cfg, train_cfg,
                                           batch_sizes, encoder_source)
     header, rows = sweep_table(cells)
@@ -432,9 +444,8 @@ def cmd_unify(args) -> int:
             noprep_source = replace(encoder_source, tensors={
                 name: arr for name, arr in encoder_source.tensors.items()
                 if name != "best/encoder/token_embedding"})
-        cells, _, _ = phase_two_sweep(noprep, noprep_model_cfg,
-                                      noprep_train_cfg, batch_sizes,
-                                      noprep_source)
+        cells, _, _ = phase_two_sweep(noprep, noprep_model_cfg, train_cfg,
+                                      batch_sizes, noprep_source)
         header, rows = sweep_table(cells)
         _write_table(manifest, "table_combined_noprep", header, rows)
 
@@ -452,22 +463,11 @@ def cmd_unify(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest("ablate", config, out)
-    combined, meta, paths = _load_split(config, "combined", "combined")
-    for p in paths:
-        manifest.add_input(p)
-    model_cfg = build_model_config(config, meta["vocab_size"],
-                                   meta["max_seq_len"])
-    train_cfg = build_train_config(config, meta["max_seq_len"])
-    subsets = tuple(
-        tuple(int(v) for v in part.split(","))
-        for part in config.get("ablate.subsets",
-                               "1,3,5,7,9,11;1,5,9;1,9;5").split(";"))
-    batch_sizes = cfg_ints(config, "ablate.batch_sizes", (16, 32, 64, 128))
-    grid = AblationGrid(block_subsets=subsets, batch_sizes=batch_sizes)
+    config, settings, manifest = _start("ablate", args)
+    combined, meta = _load_split(config, manifest, "combined")
+    model_cfg, train_cfg = _configs(settings, meta)
+    grid = AblationGrid(settings.get("ablate.subsets", DEFAULT_BLOCK_SUBSETS),
+                        **_given(settings, "ablate.", AblationGrid))
     rows = ablate(combined, model_cfg, train_cfg, grid)
     header, table_rows = ablation_table(rows)
     _write_table(manifest, "table_ablation", header, table_rows)
@@ -476,10 +476,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest("eval", config, out)
+    _, _, manifest = _start("eval", args)
     manifest.add_input(args.checkpoint)
     manifest.add_input(args.data)
     ckpt = load_checkpoint(args.checkpoint, prefix="best/")

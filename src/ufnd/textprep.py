@@ -41,10 +41,6 @@ class PrepConfig:
         if self.max_seq_len < 2:
             raise ArgumentError("max_seq_len must be >= 2")
 
-    def hash(self) -> str:
-        blob = json.dumps(self.__dict__, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
 
 @dataclass
 class Vocabulary:

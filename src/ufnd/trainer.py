@@ -27,6 +27,11 @@ from .numerics import (AdamState, GELU_VARIANT, RngStreams, adam_step,
 from .textprep import EncodedDataset
 
 
+# Fields that `train()` never read and that `TrainConfig` no longer has;
+# checkpoint headers written before they went still carry them.
+RETIRED_TRAIN_FIELDS = ("dropout_rate", "max_seq_len", "preprocessing_enabled")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int
@@ -34,10 +39,7 @@ class TrainConfig:
     clip: float = 1.0
     epochs: int = 50
     batch_size: int = 32
-    dropout_rate: float = 0.1
     freeze_encoder: bool = False
-    max_seq_len: int = 120
-    preprocessing_enabled: bool = True
     best_mode: str = "rollback"
     checked: bool = False
 
@@ -166,7 +168,8 @@ def model_from_checkpoint(ckpt: Checkpoint, which: str = "best"
     enc_cfg["block_subset"] = tuple(enc_cfg["block_subset"])
     config = ModelConfig(encoder=EncoderConfig(**enc_cfg),
                          head=HeadConfig(**ckpt.config["head"]))
-    cfg = TrainConfig(**ckpt.config["train"])
+    cfg = TrainConfig(**{k: v for k, v in ckpt.config["train"].items()
+                         if k not in RETIRED_TRAIN_FIELDS})
     dtype = np.dtype(ckpt.config.get("dtype", "<f4"))
     prefix = which + "/"
     state = {name[len(prefix):]: arr for name, arr in ckpt.tensors.items()

@@ -1,23 +1,21 @@
 """Two-phase orchestration: per-dataset constrained training under the
 acceptance threshold (phase 1), joint training on the combined corpus
-with a freshly initialized head (phase 2), plus the preprocessing
-comparison and encoder-block ablation harnesses."""
+with a freshly initialized head (phase 2), plus the encoder-block
+ablation harness."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .corpus import Corpus, split
 from .encoder import param_count, select_blocks
 from .errors import ArgumentError
 from .metrics import Metrics, POSITIVE_CLASS_NOTE
 from .model import Model, ModelConfig
 from .numerics import RngStreams
-from .textprep import EncodedDataset, PrepConfig, build_vocab, encode_corpus
+from .textprep import EncodedDataset
 from .trainer import TrainConfig, TrainReport, estimate_cost, train
 
 DEFAULT_BATCH_SIZES = (16, 32, 64, 128, 256, 512, 1024)
@@ -219,55 +217,6 @@ def phase_two_sweep(combined: EncodedSplit, model_cfg: ModelConfig,
                             > best[1].best_val_accuracy):
             best = (ckpt, report)
     return cells, best[0], best[1]
-
-
-@dataclass
-class PreprocessingComparison:
-    without: list[TrainedCell]
-    with_removal: list[TrainedCell]
-    seconds_without: float
-    seconds_with: float
-    cost_ratio: float
-    seq_len_without: int
-    seq_len_with: int
-
-
-def compare_preprocessing(combined_corpus: Corpus, model_cfg: ModelConfig,
-                          train_cfg: TrainConfig, *, ratio: float = 0.8,
-                          vocab_size: int = 8000, min_freq: int = 1,
-                          seq_len_without: int = 200, seq_len_with: int = 120,
-                          batch_sizes=DEFAULT_BATCH_SIZES,
-                          min_word_len: int = 3) -> PreprocessingComparison:
-    """Run the joint training twice: short-word removal off (longer
-    sequences) and on (shorter), and report both metric tables plus the
-    deterministic cost ratio."""
-    results = {}
-    seconds = {}
-    for mode, seq_len, word_len in (("without", seq_len_without, 1),
-                                    ("with", seq_len_with, min_word_len)):
-        prep = PrepConfig(min_word_len=word_len, max_seq_len=seq_len)
-        vocab = build_vocab(combined_corpus, prep, vocab_size, min_freq)
-        sc = split(combined_corpus, ratio, train_cfg.seed)
-        enc_split = EncodedSplit(
-            name=combined_corpus.name + f":{mode}-prep",
-            train=encode_corpus(sc.train, vocab, prep),
-            test=encode_corpus(sc.test, vocab, prep))
-        enc_cfg = replace(model_cfg.encoder, max_seq_len=seq_len)
-        mc = ModelConfig(encoder=enc_cfg, head=model_cfg.head)
-        tc = replace(train_cfg, max_seq_len=seq_len,
-                     preprocessing_enabled=(mode == "with"))
-        t0 = time.perf_counter()
-        results[mode], _, _ = phase_two_sweep(enc_split, mc, tc, batch_sizes)
-        seconds[mode] = time.perf_counter() - t0
-    cost_without = estimate_cost(model_cfg.encoder, model_cfg.head,
-                                 seq_len_without, train_cfg.batch_size)
-    cost_with = estimate_cost(model_cfg.encoder, model_cfg.head,
-                              seq_len_with, train_cfg.batch_size)
-    return PreprocessingComparison(
-        without=results["without"], with_removal=results["with"],
-        seconds_without=seconds["without"], seconds_with=seconds["with"],
-        cost_ratio=cost_without / cost_with,
-        seq_len_without=seq_len_without, seq_len_with=seq_len_with)
 
 
 def ablate(combined: EncodedSplit, model_cfg: ModelConfig,

@@ -185,7 +185,7 @@ class TestCriterion6Learnability:
 
         datasets = [enc_split(c, 7) for c in corpora]
         mc = tiny_config(vocab_size=len(vocab), max_seq_len=12)
-        tc = TrainConfig(seed=7, epochs=10, batch_size=16, max_seq_len=12)
+        tc = TrainConfig(seed=7, epochs=10, batch_size=16)
         result = phase_one(datasets, [(mc, tc)],
                            {c.name: 0.85 for c in corpora}, 0.10,
                            batch_sizes=(16, 32))
@@ -342,8 +342,7 @@ class TestCriterion9DeterminismPersistence:
 
         def run(epochs, resume=None):
             model = Model(mc, RngStreams(9))
-            cfg = TrainConfig(seed=9, epochs=epochs, batch_size=16,
-                              max_seq_len=12)
+            cfg = TrainConfig(seed=9, epochs=epochs, batch_size=16)
             return train(model, train_ds, test_ds, cfg, resume=resume)
 
         ckpt_a, rep_a = run(4)

@@ -3,11 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from ufnd import cli
 from ufnd.checkpoint import load_checkpoint
-from ufnd.cli import (cfg_bool, load_encoded, main, parse_config_file,
+from ufnd.cli import (KEYS, load_encoded, main, parse_config_file,
                       resolve_config, save_encoded, sha256_file)
-from ufnd.errors import ArgumentError
+from ufnd.errors import ArgumentError, SchemaError
+from ufnd.model import desk_config
 from ufnd.synthetic import make_synthetic_corpus, write_synthetic_csv
+from ufnd.trainer import TrainConfig
+from ufnd.unified import DEFAULT_BATCH_SIZES, AblationGrid
 
 TINY_MODEL_KEYS = """\
 model.d_model = 16
@@ -58,15 +62,32 @@ def run_prep(tmp_path):
 class TestConfigPlumbing:
     def test_parse_config_file(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("# comment\na.b = 3\n\nkey=value with = sign\n")
+        p.write_text("# comment\ntrain.epochs = 3\n\n"
+                     "data1.name=value with = sign\n")
         config = parse_config_file(p)
-        assert config == {"a.b": "3", "key": "value with = sign"}
+        assert config == {"train.epochs": "3",
+                          "data1.name": "value with = sign"}
 
     def test_parse_bad_line(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("not a pair\n")
         with pytest.raises(ArgumentError, match="c.cfg:1"):
             parse_config_file(p)
+
+    @pytest.mark.parametrize("key", ["trian.lr", "train.learning_rate",
+                                     "data1.colour", "model"])
+    def test_unknown_key_exits_2_naming_file_line_and_key(self, key,
+                                                          tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text(f"# comment\ntrain.seed = 1\n{key} = 5\n")
+        with pytest.raises(SchemaError):
+            parse_config_file(config)
+        out = tmp_path / "out"
+        assert main(["prep", "--config", str(config),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}:3" in err and repr(key) in err
+        assert not out.exists()
 
     def test_flag_overrides_file(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -219,10 +240,19 @@ class TestStrictConfigValues:
         ("train.lr", "inf"),
         ("train.clip", "nan"),
         ("train.clip", "inf"),
+        ("ablate.subsets", "1,x"),
     ])
     def test_bad_value_exits_2_naming_key_and_value(self, key, value,
                                                      prepped, tmp_path,
                                                      capsys):
+        assert self._train(prepped, tmp_path, key, value) == 2
+        err = capsys.readouterr().err
+        assert key in err and repr(value) in err
+        assert not (tmp_path / "out" / "checkpoint.ufnd").exists()
+
+    @staticmethod
+    def _train(prepped, tmp_path, key, value):
+        """`ufnd train` on ds1 with `key = value` added to the config."""
         config, prep_out = prepped
         train_cfg = tmp_path / "train.cfg"
         train_cfg.write_text(
@@ -230,18 +260,155 @@ class TestStrictConfigValues:
             + f"data.train = {prep_out / 'ds1.train.npz'}\n"
             + f"data.test = {prep_out / 'ds1.test.npz'}\n"
             + f"{key} = {value}\n")
-        assert main(["train", "--config", str(train_cfg),
+        return main(["train", "--config", str(train_cfg),
+                     "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("value", ["REAL0,FAKE:1", "REAL:x"])
+    def test_bad_label_mapping_exits_2(self, value, tmp_path, capsys):
+        config = write_prep_config(tmp_path, write_datasets(tmp_path))
+        config.write_text(config.read_text().replace(
+            "data2.label_mapping = REAL:0,FAKE:1",
+            f"data2.label_mapping = {value}"))
+        assert main(["prep", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert key in err and repr(value) in err
+        assert "data2.label_mapping" in err and repr(value) in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("train.batch_size", "1", "batch_size must be >= 2"),
+        ("train.best_mode", "other", "best_mode must be"),
+        ("model.n_heads", "3", "not divisible by n_heads 3"),
+    ])
+    def test_value_its_config_class_rejects_exits_2(self, key, value,
+                                                    message, prepped,
+                                                    tmp_path, capsys):
+        assert self._train(prepped, tmp_path, key, value) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "checkpoint.ufnd").exists()
+
+    def test_min_word_len_zero_exits_2(self, tmp_path, capsys):
+        config = write_prep_config(tmp_path, write_datasets(tmp_path))
+        config.write_text(config.read_text() + "prep.min_word_len = 0\n")
+        out = tmp_path / "out"
+        assert main(["prep", "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert "min_word_len must be >= 1" in capsys.readouterr().err
+        assert not (out / "vocab.txt").exists()
 
     @pytest.mark.parametrize("value, expected", [
         ("YES", True), ("on", True), ("1", True),
         ("No", False), ("off", False), ("0", False)])
     def test_bool_words(self, value, expected):
-        assert cfg_bool({"k": value}, "k", False) is expected
-        assert cfg_bool({}, "k", expected) is expected
+        parse, _ = KEYS["train.freeze_encoder"]
+        assert parse(value) is expected
+
+
+class TestRequiredKeys:
+    @pytest.fixture(scope="class")
+    def prepped(self, tmp_path_factory):
+        return run_prep(tmp_path_factory.mktemp("required"))
+
+    @pytest.mark.parametrize("key", ["data1.text_columns",
+                                     "data1.label_column",
+                                     "data1.label_mapping"])
+    def test_missing_dataset_key_exits_2(self, key, tmp_path, capsys):
+        config = write_prep_config(tmp_path, write_datasets(tmp_path))
+        config.write_text("".join(
+            line for line in config.read_text().splitlines(keepends=True)
+            if not line.startswith(key)))
+        assert main(["prep", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"config key {key} is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        ("train", "data.train"), ("train", "data.test"),
+        ("unify", "baselines"),
+        ("ablate", "combined.train"), ("ablate", "combined.test")])
+    def test_missing_key_exits_2(self, command, key, prepped, tmp_path,
+                                 capsys):
+        config, prep_out = prepped
+        paths = {
+            "data.train": prep_out / "ds1.train.npz",
+            "data.test": prep_out / "ds1.test.npz",
+            "dataset1.train": prep_out / "ds1.train.npz",
+            "dataset1.test": prep_out / "ds1.test.npz",
+            "baselines": tmp_path / "baselines.tsv",
+            "combined.train": prep_out / "combined.train.npz",
+            "combined.test": prep_out / "combined.test.npz",
+        }
+        (tmp_path / "baselines.tsv").write_text("ds1\t0.5\tfloor\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config.read_text() + "".join(
+            f"{k} = {v}\n" for k, v in paths.items() if k != key))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"config key {key} is required" in capsys.readouterr().err
+
+
+class Seen(Exception):
+    """Raised by a stand-in to stop a command once it has its configs."""
+
+
+class TestConfigsHandedOn:
+    @pytest.fixture(scope="class")
+    def prepped(self, tmp_path_factory):
+        return run_prep(tmp_path_factory.mktemp("handed_on"))
+
+    @staticmethod
+    def _seen(prep_out, tmp_path, monkeypatch, keys=""):
+        """What `ablate` and `unify` hand to the library under `keys`."""
+        seen = {}
+
+        def fake_ablate(combined, mc, tc, grid):
+            seen["ablate"] = (mc, tc, grid)
+            raise Seen
+
+        def fake_phase_one(datasets, candidates, baselines, threshold,
+                           batch_sizes):
+            seen["unify"] = (candidates, batch_sizes)
+            raise Seen
+
+        monkeypatch.setattr(cli, "ablate", fake_ablate)
+        monkeypatch.setattr(cli, "phase_one", fake_phase_one)
+        (tmp_path / "baselines.tsv").write_text("ds1\t0.5\tfloor\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"combined.train = {prep_out / 'combined.train.npz'}\n"
+            f"combined.test = {prep_out / 'combined.test.npz'}\n"
+            f"dataset1.train = {prep_out / 'ds1.train.npz'}\n"
+            f"dataset1.test = {prep_out / 'ds1.test.npz'}\n"
+            f"baselines = {tmp_path / 'baselines.tsv'}\n" + keys)
+        for command in ("ablate", "unify"):
+            with pytest.raises(Seen):
+                main([command, "--config", str(cfg),
+                      "--out", str(tmp_path / command)])
+        return seen
+
+    def test_no_keys_give_the_library_defaults(self, prepped, tmp_path,
+                                               monkeypatch):
+        _, prep_out = prepped
+        meta = load_encoded(prep_out / "combined.train.npz")[1]
+        model_cfg = desk_config(meta["vocab_size"], meta["max_seq_len"])
+        train_cfg = TrainConfig(seed=cli.CLI_DEFAULTS["train.seed"])
+        seen = self._seen(prep_out, tmp_path, monkeypatch)
+        assert seen["ablate"] == (model_cfg, train_cfg, AblationGrid())
+        assert seen["unify"] == ([(model_cfg, train_cfg)],
+                                 DEFAULT_BATCH_SIZES)
+
+    def test_set_keys_reach_the_configs(self, prepped, tmp_path,
+                                        monkeypatch):
+        _, prep_out = prepped
+        seen = self._seen(prep_out, tmp_path, monkeypatch,
+                          "model.n_blocks_total = 4\n"
+                          "train.dropout_rate = 0.3\ntrain.lr = 0.01\n"
+                          "ablate.subsets = 1,3;2\nunify.batch_sizes = 8\n")
+        model_cfg, train_cfg, grid = seen["ablate"]
+        assert model_cfg.encoder.block_subset == (1, 2, 3, 4)
+        assert model_cfg.encoder.dropout_rate == 0.3
+        assert model_cfg.head.dropout_rate == 0.3
+        assert train_cfg.lr == 0.01
+        assert grid == AblationGrid(block_subsets=((1, 3), (2,)))
+        assert seen["unify"] == ([(model_cfg, train_cfg)], (8,))
 
 
 class TestPrepCommand:

@@ -193,8 +193,10 @@ class TestPrepConfig:
             PrepConfig(max_seq_len=1)
 
     def test_hash_sensitivity(self):
-        assert PrepConfig(min_word_len=3).hash() != \
-            PrepConfig(min_word_len=1).hash()
+        corpus = corpus_of(["the quick brown fox", "an ox is here"])
+        hashes = {build_vocab(corpus, PrepConfig(min_word_len=n), 10)
+                  .config_hash for n in (3, 1)}
+        assert len(hashes) == 2
 
     def test_tokenize_composition(self):
         cfg = PrepConfig(min_word_len=3)

@@ -30,8 +30,9 @@ class TestTrainConfig:
         assert cfg.lr == 0.003
         assert cfg.clip == 1.0
         assert cfg.epochs == 50
-        assert cfg.dropout_rate == 0.1
-        assert cfg.max_seq_len == 120
+        model = desk_config()
+        assert model.encoder.dropout_rate == 0.1
+        assert model.head.dropout_rate == 0.1
 
     def test_validation(self):
         with pytest.raises(ArgumentError):
@@ -271,6 +272,24 @@ class TestResume:
         a = evaluate(model, split_data.test).accuracy
         b = evaluate(restored, split_data.test).accuracy
         assert a == pytest.approx(b)
+
+    def test_header_with_retired_train_fields_loads(self, toy_split,
+                                                     tmp_path):
+        """Checkpoints written while `TrainConfig` still had
+        `dropout_rate`, `max_seq_len` and `preprocessing_enabled` load."""
+        split_data, vocab = toy_split
+        model = Model(toy_model_config(len(vocab)), RngStreams(8))
+        cfg = small_train_cfg(seed=8, epochs=1)
+        ckpt, _ = train(model, split_data.train, split_data.test, cfg)
+        ckpt.config["train"].update(dropout_rate=0.1, max_seq_len=16,
+                                    preprocessing_enabled=True)
+        path = tmp_path / "old.ufnd"
+        save_checkpoint(ckpt, path)
+        restored, restored_cfg = model_from_checkpoint(load_checkpoint(path))
+        assert restored_cfg == cfg
+        np.testing.assert_array_equal(predict_dataset(restored,
+                                                      split_data.test),
+                                      predict_dataset(model, split_data.test))
 
 
 class TestEstimateCost:

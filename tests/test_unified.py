@@ -12,8 +12,7 @@ from ufnd.synthetic import make_synthetic_corpus
 from ufnd.textprep import PrepConfig, build_vocab, encode_corpus
 from ufnd.trainer import EpochRecord, TrainConfig, TrainReport
 from ufnd.unified import (AblationGrid, EncodedSplit, TrainedCell, ablate,
-                          ablation_table, check_acceptable,
-                          compare_preprocessing, load_baselines,
+                          ablation_table, check_acceptable, load_baselines,
                           per_dataset_table, phase_one, phase_two,
                           phase_two_sweep, render_aligned, render_delimited,
                           sweep_table)
@@ -178,20 +177,6 @@ class TestPhaseTwoSweep:
         _, ckpt, _ = phase_two_sweep(combined, None, quick_train_cfg(),
                                      batch_sizes=(32, 16, 64))
         assert ckpt.config["batch"] == 32
-
-
-class TestComparePreprocessing:
-    def test_both_modes_and_cost_ratio(self):
-        corpus = make_synthetic_corpus(80, "cmp", seed=404)
-        cfg = toy_model_config(100)
-        comparison = compare_preprocessing(
-            corpus, cfg, quick_train_cfg(epochs=1), vocab_size=100,
-            seq_len_without=16, seq_len_with=10, batch_sizes=(16,))
-        assert len(comparison.without) == 1
-        assert len(comparison.with_removal) == 1
-        assert comparison.cost_ratio > 1.0
-        assert comparison.seq_len_without == 16
-        assert comparison.seq_len_with == 10
 
 
 class TestAblate:
