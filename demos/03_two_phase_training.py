@@ -41,7 +41,7 @@ def main():
 
     print("phase 1: per-dataset training, batch sizes 16 and 32, "
           "threshold 0.10 against baseline 0.85")
-    result = phase_one(datasets, [(model_cfg, train_cfg)], baselines,
+    result = phase_one(datasets, model_cfg, train_cfg, baselines,
                        threshold=0.10, batch_sizes=(16, 32))
     print(f"accepted: {result.accepted}")
     for name in sorted(result.deficits):

@@ -25,7 +25,7 @@ import numpy as np
 from .classifier import HeadConfig
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import ColumnMap, combine, load_dataset, split
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, select_blocks
 from .errors import (ArgumentError, DataError, IncompatibilityError,
                      SchemaError, UfndError)
 from .metrics import POSITIVE_CLASS_NOTE, compute_metrics, confusion
@@ -173,12 +173,22 @@ def _given(settings: dict, prefix: str, target) -> dict:
 
 
 @contextmanager
-def _config_class_errors():
+def _config_class_errors(where: str = "config"):
     """A value that a config class rejects is bad config input."""
     try:
         yield
     except ArgumentError as exc:
-        raise SchemaError(f"config: {exc}") from None
+        raise SchemaError(f"{where}: {exc}") from None
+
+
+def _check_cells(key: str, values, build) -> None:
+    """Check a per-cell setting before any cell trains: `key` must list at
+    least one value, and `build(value)` must accept each of them."""
+    if not values:
+        raise SchemaError(f"config key {key} lists no values")
+    for value in values:
+        with _config_class_errors(f"config key {key}, value {value}"):
+            build(value)
 
 
 def sha256_file(path) -> str:
@@ -403,6 +413,10 @@ def cmd_unify(args) -> int:
     model_cfg, train_cfg = _configs(settings, meta)
     threshold = settings["unify.threshold"]
     batch_sizes = settings.get("unify.batch_sizes", DEFAULT_BATCH_SIZES)
+    _check_cells("unify.batch_sizes", batch_sizes,
+                 lambda batch: replace(train_cfg, batch_size=batch))
+    for key in ("combined.train", "combined.test"):
+        _required(config, key)  # present now; loaded after phase 1
 
     noprep = None
     if "combined_noprep.train" in config:
@@ -411,8 +425,8 @@ def cmd_unify(args) -> int:
                                           "combined-noprep")
         noprep_model_cfg, _ = _configs(settings, noprep_meta)
 
-    result = phase_one(datasets, [(model_cfg, train_cfg)], baselines,
-                       threshold, batch_sizes)
+    result = phase_one(datasets, model_cfg, train_cfg, baselines, threshold,
+                       batch_sizes)
     names = [ds.name for ds in datasets]
     header, rows = per_dataset_table(result.cells, names, batch_sizes)
     _write_table(manifest, "table_per_dataset", header, rows)
@@ -421,7 +435,7 @@ def cmd_unify(args) -> int:
         with open(manifest.artifact("infeasibility.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(f"phase 1 infeasible at threshold {threshold}\n")
-            for name, deficit in sorted(result.minimum_deficits.items()):
+            for name, deficit in sorted(result.deficits.items()):
                 fh.write(f"minimum deficit {name}: {deficit:.4f}\n")
         manifest.write()
         print("phase 1 infeasible; see infeasibility.txt")
@@ -468,6 +482,10 @@ def cmd_ablate(args) -> int:
     model_cfg, train_cfg = _configs(settings, meta)
     grid = AblationGrid(settings.get("ablate.subsets", DEFAULT_BLOCK_SUBSETS),
                         **_given(settings, "ablate.", AblationGrid))
+    _check_cells("ablate.subsets", grid.block_subsets,
+                 lambda subset: select_blocks(model_cfg.encoder, subset))
+    _check_cells("ablate.batch_sizes", grid.batch_sizes,
+                 lambda batch: replace(train_cfg, batch_size=batch))
     rows = ablate(combined, model_cfg, train_cfg, grid)
     header, table_rows = ablation_table(rows)
     _write_table(manifest, "table_ablation", header, table_rows)

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .checkpoint import Checkpoint
 from .encoder import param_count, select_blocks
 from .errors import ArgumentError
@@ -16,7 +14,7 @@ from .metrics import Metrics, POSITIVE_CLASS_NOTE
 from .model import Model, ModelConfig
 from .numerics import RngStreams
 from .textprep import EncodedDataset
-from .trainer import TrainConfig, TrainReport, estimate_cost, train
+from .trainer import TrainConfig, TrainReport, train
 
 DEFAULT_BATCH_SIZES = (16, 32, 64, 128, 256, 512, 1024)
 DEFAULT_BLOCK_SUBSETS = ((1, 3, 5, 7, 9, 11), (1, 5, 9), (1, 9), (5,))
@@ -36,21 +34,16 @@ class TrainedCell:
     dataset: str
     batch_size: int
     metrics: Metrics
-    best_val_accuracy: float
 
 
 @dataclass
 class PhaseOneResult:
     accepted: bool
-    threshold: float
-    shared_model_config: ModelConfig | None = None
-    shared_train_config: TrainConfig | None = None
     chosen_batch_sizes: dict[str, int] = field(default_factory=dict)
     best_metrics: dict[str, Metrics] = field(default_factory=dict)
     deficits: dict[str, float] = field(default_factory=dict)
     cells: list[TrainedCell] = field(default_factory=list)
     best_checkpoints: dict[str, Checkpoint] = field(default_factory=dict)
-    minimum_deficits: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -95,81 +88,61 @@ def load_baselines(path) -> dict[str, float]:
     return baselines
 
 
-def _cell_seed(base_seed: int, candidate: int, dataset: int,
-               batch: int) -> int:
-    # distinct deterministic seed per grid cell
-    return base_seed + 1_000_003 * candidate + 1_009 * dataset + batch
+def _cell_seed(base_seed: int, dataset: int, batch: int) -> int:
+    # distinct deterministic seed per (dataset, batch size) cell
+    return base_seed + 1_009 * dataset + batch
 
 
-def phase_one(datasets: list[EncodedSplit],
-              candidates: list[tuple[ModelConfig, TrainConfig]],
-              baselines: dict[str, float], threshold: float,
+def sweep(split: EncodedSplit, batch_sizes, run
+          ) -> tuple[list[TrainedCell], TrainedCell, Checkpoint, TrainReport]:
+    """Call `run(batch) -> (checkpoint, report)` at each batch size; return
+    one cell per run, plus the cell, checkpoint and report of the first run
+    with the highest best validation accuracy.  Only that run's checkpoint
+    is kept while the sweep goes on."""
+    if not batch_sizes:
+        raise ArgumentError(f"{split.name}: no batch sizes to sweep")
+    cells = []
+    best = None
+    for batch in batch_sizes:
+        ckpt, report = run(batch)
+        cells.append(TrainedCell(
+            dataset=split.name, batch_size=batch,
+            metrics=report.epochs[report.best_epoch - 1].val_metrics))
+        if best is None or (report.best_val_accuracy
+                            > best[2].best_val_accuracy):
+            best = (cells[-1], ckpt, report)
+    return (cells, *best)
+
+
+def phase_one(datasets: list[EncodedSplit], model_cfg: ModelConfig,
+              train_cfg: TrainConfig, baselines: dict[str, float],
+              threshold: float,
               batch_sizes=DEFAULT_BATCH_SIZES) -> PhaseOneResult:
-    """Sweep shared configurations across all datasets.
-
-    Every dataset is trained with the identical architecture and
-    hyperparameters except batch size, which is swept per dataset.  A
-    candidate is feasible when every dataset's accuracy deficit against
-    its baseline is within the threshold; among feasible candidates the
-    one with the highest mean best-validation accuracy wins, ties broken
-    by lower estimated cost.
-    """
-    if not candidates:
-        raise ArgumentError("phase_one requires a nonempty candidate grid")
+    """Train the one shared configuration on every dataset, sweeping only
+    the batch size; each dataset keeps its best run (see `sweep`).  Phase 1
+    is accepted when every dataset's accuracy deficit against its baseline
+    is within the threshold."""
     if threshold <= 0:
         raise ArgumentError("threshold must be positive")
     for ds in datasets:
         if ds.name not in baselines:
             raise ArgumentError(f"no baseline for dataset '{ds.name}'")
 
-    result = PhaseOneResult(accepted=False, threshold=threshold)
-    best_score = None
-    min_deficits = {ds.name: float("inf") for ds in datasets}
+    result = PhaseOneResult(accepted=False)
+    for di, ds in enumerate(datasets):
+        def run(batch):
+            cfg = replace(train_cfg, batch_size=batch,
+                          seed=_cell_seed(train_cfg.seed, di, batch))
+            model = Model(model_cfg, RngStreams(cfg.seed))
+            return train(model, ds.train, ds.test, cfg)
 
-    for ci, (model_cfg, train_cfg) in enumerate(candidates):
-        chosen: dict[str, int] = {}
-        best_m: dict[str, Metrics] = {}
-        ckpts: dict[str, Checkpoint] = {}
-        cells: list[TrainedCell] = []
-        for di, ds in enumerate(datasets):
-            best_acc = -1.0
-            for batch in batch_sizes:
-                cfg = replace(train_cfg, batch_size=batch,
-                              seed=_cell_seed(train_cfg.seed, ci, di, batch))
-                model = Model(model_cfg, RngStreams(cfg.seed))
-                ckpt, report = train(model, ds.train, ds.test, cfg)
-                metrics = report.epochs[report.best_epoch - 1].val_metrics
-                cells.append(TrainedCell(
-                    dataset=ds.name, batch_size=batch, metrics=metrics,
-                    best_val_accuracy=report.best_val_accuracy))
-                if report.best_val_accuracy > best_acc:
-                    best_acc = report.best_val_accuracy
-                    chosen[ds.name] = batch
-                    best_m[ds.name] = metrics
-                    ckpts[ds.name] = ckpt
-            min_deficits[ds.name] = min(min_deficits[ds.name],
-                                        baselines[ds.name] - best_acc)
-        deficits = {name: baselines[name] - m.accuracy
-                    for name, m in best_m.items()}
+        cells, best, ckpt, _ = sweep(ds, batch_sizes, run)
         result.cells.extend(cells)
-        feasible = all(d <= threshold for d in deficits.values())
-        if feasible:
-            mean_acc = float(np.mean([m.accuracy for m in best_m.values()]))
-            cost = estimate_cost(model_cfg.encoder, model_cfg.head,
-                                 model_cfg.encoder.max_seq_len,
-                                 train_cfg.batch_size)
-            score = (mean_acc, -cost)
-            if best_score is None or score > best_score:
-                best_score = score
-                result.accepted = True
-                result.shared_model_config = model_cfg
-                result.shared_train_config = train_cfg
-                result.chosen_batch_sizes = chosen
-                result.best_metrics = best_m
-                result.deficits = deficits
-                result.best_checkpoints = ckpts
-    if not result.accepted:
-        result.minimum_deficits = min_deficits
+        result.chosen_batch_sizes[ds.name] = best.batch_size
+        result.best_metrics[ds.name] = best.metrics
+        result.deficits[ds.name] = baselines[ds.name] - best.metrics.accuracy
+        result.best_checkpoints[ds.name] = ckpt
+    result.accepted = all(d <= threshold for d in result.deficits.values())
     return result
 
 
@@ -199,24 +172,12 @@ def phase_two_sweep(combined: EncodedSplit, model_cfg: ModelConfig,
                     train_cfg: TrainConfig, batch_sizes=DEFAULT_BATCH_SIZES,
                     encoder_source: Checkpoint | None = None
                     ) -> tuple[list[TrainedCell], Checkpoint, TrainReport]:
-    """Run `phase_two` at each batch size; return one cell per run plus
-    the checkpoint and report of the first run with the highest best
-    validation accuracy."""
-    if not batch_sizes:
-        raise ArgumentError("phase_two_sweep requires a batch size")
-    cells = []
-    best = None
-    for batch in batch_sizes:
-        cfg = replace(train_cfg, batch_size=batch)
-        ckpt, report = phase_two(combined, model_cfg, cfg, encoder_source)
-        cells.append(TrainedCell(
-            dataset=combined.name, batch_size=batch,
-            metrics=report.epochs[report.best_epoch - 1].val_metrics,
-            best_val_accuracy=report.best_val_accuracy))
-        if best is None or (report.best_val_accuracy
-                            > best[1].best_val_accuracy):
-            best = (ckpt, report)
-    return cells, best[0], best[1]
+    """Run `phase_two` at each batch size through `sweep`; return every
+    cell, and the checkpoint and report of the run `sweep` picks."""
+    cells, _, ckpt, report = sweep(combined, batch_sizes, lambda batch: (
+        phase_two(combined, model_cfg, replace(train_cfg, batch_size=batch),
+                  encoder_source)))
+    return cells, ckpt, report
 
 
 def ablate(combined: EncodedSplit, model_cfg: ModelConfig,
@@ -228,15 +189,18 @@ def ablate(combined: EncodedSplit, model_cfg: ModelConfig,
     for subset in grid.block_subsets:
         enc_cfg = select_blocks(model_cfg.encoder, subset)
         mc = ModelConfig(encoder=enc_cfg, head=model_cfg.head)
-        for batch in sorted(grid.batch_sizes):
+
+        def run(batch):
             cfg = replace(train_cfg, batch_size=batch)
             model = Model(mc, RngStreams(cfg.seed))
-            _, report = train(model, combined.train, combined.test, cfg)
-            rows.append(AblationRow(
-                label=f"{','.join(map(str, subset))} ({batch})",
-                subset=tuple(subset), batch_size=batch,
-                metrics=report.epochs[report.best_epoch - 1].val_metrics,
-                param_count=param_count(enc_cfg)))
+            return train(model, combined.train, combined.test, cfg)
+
+        cells, *_ = sweep(combined, sorted(grid.batch_sizes), run)
+        rows.extend(AblationRow(
+            label=f"{','.join(map(str, subset))} ({c.batch_size})",
+            subset=tuple(subset), batch_size=c.batch_size,
+            metrics=c.metrics, param_count=param_count(enc_cfg))
+            for c in cells)
     return rows
 
 

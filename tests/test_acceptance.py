@@ -186,7 +186,7 @@ class TestCriterion6Learnability:
         datasets = [enc_split(c, 7) for c in corpora]
         mc = tiny_config(vocab_size=len(vocab), max_seq_len=12)
         tc = TrainConfig(seed=7, epochs=10, batch_size=16)
-        result = phase_one(datasets, [(mc, tc)],
+        result = phase_one(datasets, mc, tc,
                            {c.name: 0.85 for c in corpora}, 0.10,
                            batch_sizes=(16, 32))
 

@@ -323,6 +323,7 @@ class TestRequiredKeys:
     @pytest.mark.parametrize("command, key", [
         ("train", "data.train"), ("train", "data.test"),
         ("unify", "baselines"),
+        ("unify", "combined.train"), ("unify", "combined.test"),
         ("ablate", "combined.train"), ("ablate", "combined.test")])
     def test_missing_key_exits_2(self, command, key, prepped, tmp_path,
                                  capsys):
@@ -343,6 +344,36 @@ class TestRequiredKeys:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
         assert f"config key {key} is required" in capsys.readouterr().err
+        # nothing trained, so no table was written
+        assert not list(tmp_path.glob("out/table_*"))
+
+    @pytest.mark.parametrize("command, key, value, named", [
+        ("unify", "unify.batch_sizes", "8,1", "value 1:"),
+        ("unify", "unify.batch_sizes", "", "lists no values"),
+        ("ablate", "ablate.batch_sizes", "8,1", "value 1:"),
+        ("ablate", "ablate.batch_sizes", "", "lists no values"),
+        ("ablate", "ablate.subsets", "1;3", "value (3,):"),
+        ("ablate", "ablate.subsets", "", "value ():"),
+    ])
+    def test_bad_cell_value_exits_2_before_any_cell_trains(
+            self, command, key, value, named, prepped, tmp_path, capsys):
+        config, prep_out = prepped
+        (tmp_path / "baselines.tsv").write_text("ds1\t0.5\tfloor\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            config.read_text()
+            + f"dataset1.train = {prep_out / 'ds1.train.npz'}\n"
+            + f"dataset1.test = {prep_out / 'ds1.test.npz'}\n"
+            + f"combined.train = {prep_out / 'combined.train.npz'}\n"
+            + f"combined.test = {prep_out / 'combined.test.npz'}\n"
+            + f"baselines = {tmp_path / 'baselines.tsv'}\n"
+            + "ablate.subsets = 1\n"  # the default reaches block 11
+            + f"{key} = {value}\n")
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key}" in err and named in err
+        assert not list(tmp_path.glob("out/table_*"))
 
 
 class Seen(Exception):
@@ -363,9 +394,9 @@ class TestConfigsHandedOn:
             seen["ablate"] = (mc, tc, grid)
             raise Seen
 
-        def fake_phase_one(datasets, candidates, baselines, threshold,
-                           batch_sizes):
-            seen["unify"] = (candidates, batch_sizes)
+        def fake_phase_one(datasets, model_cfg, train_cfg, baselines,
+                           threshold, batch_sizes):
+            seen["unify"] = ((model_cfg, train_cfg), batch_sizes)
             raise Seen
 
         monkeypatch.setattr(cli, "ablate", fake_ablate)
@@ -392,7 +423,7 @@ class TestConfigsHandedOn:
         train_cfg = TrainConfig(seed=cli.CLI_DEFAULTS["train.seed"])
         seen = self._seen(prep_out, tmp_path, monkeypatch)
         assert seen["ablate"] == (model_cfg, train_cfg, AblationGrid())
-        assert seen["unify"] == ([(model_cfg, train_cfg)],
+        assert seen["unify"] == ((model_cfg, train_cfg),
                                  DEFAULT_BATCH_SIZES)
 
     def test_set_keys_reach_the_configs(self, prepped, tmp_path,
@@ -408,7 +439,7 @@ class TestConfigsHandedOn:
         assert model_cfg.head.dropout_rate == 0.3
         assert train_cfg.lr == 0.01
         assert grid == AblationGrid(block_subsets=((1, 3), (2,)))
-        assert seen["unify"] == ([(model_cfg, train_cfg)], (8,))
+        assert seen["unify"] == ((model_cfg, train_cfg), (8,))
 
 
 class TestPrepCommand:

@@ -34,6 +34,13 @@ def quick_train_cfg(**kw):
     return TrainConfig(**base)
 
 
+def constant_report():
+    """A one-epoch report at validation accuracy 0.75, whatever was run."""
+    metrics = Metrics(accuracy=0.75, precision=0.5, recall=0.5, f1=0.5)
+    return TrainReport(epochs=[EpochRecord(1, 0.5, metrics, 0.0, 0.0, 0, 1)],
+                       best_epoch=1, best_val_accuracy=0.75)
+
+
 class TestCheckAcceptable:
     def test_within_threshold(self):
         assert check_acceptable(0.93, 0.99, 0.10)
@@ -81,15 +88,26 @@ class TestPhaseOne:
         vocab = max(len(vocab_a), len(vocab_b))
         return [a, b], vocab
 
+    @staticmethod
+    def _assert_deficits_from_best_cells(result, baselines):
+        """Each deficit is the baseline minus the accuracy of that dataset's
+        best cell, the first of its highest-accuracy cells."""
+        assert set(result.deficits) == set(baselines)
+        for name, baseline in baselines.items():
+            cells = [c for c in result.cells if c.dataset == name]
+            best = max(cells, key=lambda c: c.metrics.accuracy)
+            assert result.chosen_batch_sizes[name] == best.batch_size
+            assert result.deficits[name] == baseline - best.metrics.accuracy
+
     def test_feasible_candidate_accepted(self):
         datasets, vocab = self._datasets()
-        candidates = [(toy_model_config(vocab), quick_train_cfg())]
-        result = phase_one(datasets, candidates,
-                           baselines={"ds1": 0.55, "ds2": 0.55},
+        baselines = {"ds1": 0.55, "ds2": 0.55}
+        result = phase_one(datasets, toy_model_config(vocab),
+                           quick_train_cfg(), baselines=baselines,
                            threshold=0.10, batch_sizes=(16, 32))
         assert result.accepted
         assert set(result.chosen_batch_sizes) == {"ds1", "ds2"}
-        assert set(result.deficits) == {"ds1", "ds2"}
+        self._assert_deficits_from_best_cells(result, baselines)
         assert all(d <= 0.10 for d in result.deficits.values())
         # one cell per dataset x batch size
         assert len(result.cells) == 4
@@ -97,29 +115,36 @@ class TestPhaseOne:
 
     def test_infeasible_reports_minimum_deficits(self):
         datasets, vocab = self._datasets()
-        candidates = [(toy_model_config(vocab),
-                       quick_train_cfg(epochs=1))]
-        result = phase_one(datasets, candidates,
-                           baselines={"ds1": 1.0, "ds2": 1.0},
+        baselines = {"ds1": 1.0, "ds2": 1.0}
+        result = phase_one(datasets, toy_model_config(vocab),
+                           quick_train_cfg(epochs=1), baselines=baselines,
                            threshold=0.0001, batch_sizes=(16,))
-        if not result.accepted:
-            assert set(result.minimum_deficits) == {"ds1", "ds2"}
-            assert all(np.isfinite(d)
-                       for d in result.minimum_deficits.values())
+        assert not result.accepted
+        self._assert_deficits_from_best_cells(result, baselines)
+        assert all(d > 0.0001 for d in result.deficits.values())
 
     def test_missing_baseline_rejected(self):
         datasets, vocab = self._datasets()
         with pytest.raises(ArgumentError, match="baseline"):
-            phase_one(datasets, [(toy_model_config(vocab),
-                                  quick_train_cfg())],
+            phase_one(datasets, toy_model_config(vocab), quick_train_cfg(),
                       baselines={"ds1": 0.5}, threshold=0.1,
                       batch_sizes=(16,))
 
-    def test_empty_candidates_rejected(self):
-        datasets, _ = self._datasets()
-        with pytest.raises(ArgumentError):
-            phase_one(datasets, [], baselines={"ds1": 0.5, "ds2": 0.5},
-                      threshold=0.1)
+    def test_ties_keep_the_earliest_batch_size(self, monkeypatch):
+        def fake_train(model, train_ds, val_ds, cfg):
+            return (Checkpoint(config={"batch": cfg.batch_size}, tensors={}),
+                    constant_report())
+
+        monkeypatch.setattr(unified, "train", fake_train)
+        datasets = [EncodedSplit(name=n, train=None, test=None)
+                    for n in ("ds1", "ds2")]
+        result = phase_one(datasets, toy_model_config(50), quick_train_cfg(),
+                           baselines={"ds1": 0.8, "ds2": 0.8},
+                           threshold=0.1, batch_sizes=(32, 16, 64))
+        assert result.chosen_batch_sizes == {"ds1": 32, "ds2": 32}
+        assert [c.config["batch"] for c in
+                result.best_checkpoints.values()] == [32, 32]
+        assert result.accepted
 
 
 class TestPhaseTwo:
@@ -153,7 +178,7 @@ class TestPhaseTwoSweep:
         cfg = toy_model_config(len(vocab))
         cells, ckpt, report = phase_two_sweep(
             combined, cfg, quick_train_cfg(epochs=2), batch_sizes=(16, 32))
-        chosen = max(cells, key=lambda c: c.best_val_accuracy)
+        chosen = max(cells, key=lambda c: c.metrics.accuracy)
         alone, alone_report = phase_two(
             combined, cfg, quick_train_cfg(epochs=2,
                                            batch_size=chosen.batch_size))
@@ -163,20 +188,29 @@ class TestPhaseTwoSweep:
             np.testing.assert_array_equal(ckpt.tensors[name], arr)
 
     def test_ties_keep_the_earliest_batch_size(self, monkeypatch):
-        metrics = Metrics(accuracy=0.75, precision=0.5, recall=0.5, f1=0.5)
-
         def fake_phase_two(combined, model_cfg, train_cfg, source=None):
-            report = TrainReport(epochs=[EpochRecord(
-                1, 0.5, metrics, 0.0, 0.0, 0, 1)], best_epoch=1,
-                best_val_accuracy=0.75)
             return Checkpoint(config={"batch": train_cfg.batch_size},
-                              tensors={}), report
+                              tensors={}), constant_report()
 
         monkeypatch.setattr(unified, "phase_two", fake_phase_two)
         combined = EncodedSplit(name="c", train=None, test=None)
         _, ckpt, _ = phase_two_sweep(combined, None, quick_train_cfg(),
                                      batch_sizes=(32, 16, 64))
         assert ckpt.config["batch"] == 32
+
+
+class TestEmptyBatchSizes:
+    def test_every_sweep_rejects_an_empty_list(self):
+        ds = EncodedSplit(name="c", train=None, test=None)
+        cfg = toy_model_config(50)
+        with pytest.raises(ArgumentError, match="no batch sizes"):
+            phase_one([ds], cfg, quick_train_cfg(), baselines={"c": 0.5},
+                      threshold=0.1, batch_sizes=())
+        with pytest.raises(ArgumentError, match="no batch sizes"):
+            phase_two_sweep(ds, cfg, quick_train_cfg(), batch_sizes=())
+        with pytest.raises(ArgumentError, match="no batch sizes"):
+            ablate(ds, cfg, quick_train_cfg(),
+                   AblationGrid(block_subsets=((1,),), batch_sizes=()))
 
 
 class TestAblate:
@@ -201,10 +235,10 @@ class TestTables:
     M = Metrics(accuracy=0.9, precision=0.8, recall=0.7, f1=0.74)
 
     def test_per_dataset_table_layout(self):
-        cells = [TrainedCell("a", 16, self.M, 0.9),
-                 TrainedCell("a", 32, self.M, 0.9),
-                 TrainedCell("b", 16, self.M, 0.9),
-                 TrainedCell("b", 32, self.M, 0.9)]
+        cells = [TrainedCell("a", 16, self.M),
+                 TrainedCell("a", 32, self.M),
+                 TrainedCell("b", 16, self.M),
+                 TrainedCell("b", 32, self.M)]
         header, rows = per_dataset_table(cells, ["a", "b"], (16, 32))
         assert header[0] == "Minibatch size"
         assert len(header) == 1 + 2 * 4
@@ -213,8 +247,8 @@ class TestTables:
         assert len(rows[0]) == len(header)
 
     def test_sweep_table_sorted(self):
-        cells = [TrainedCell("c", 64, self.M, 0.9),
-                 TrainedCell("c", 16, self.M, 0.9)]
+        cells = [TrainedCell("c", 64, self.M),
+                 TrainedCell("c", 16, self.M)]
         header, rows = sweep_table(cells)
         assert [r[0] for r in rows] == [16, 64]
         assert header == ["Minibatch size", "Accuracy", "Precision",
