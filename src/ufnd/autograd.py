@@ -235,17 +235,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a, b), _backward=bwd)
 
 
-def transpose(x: Tensor, axes: tuple) -> Tensor:
-    inv = np.argsort(axes)
-    out_data = np.transpose(x.data, axes)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.transpose(g, inv))
-
-    return Tensor(out_data, _parents=(x,), _backward=bwd)
-
-
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     old_shape = x.shape
     out_data = x.data.reshape(shape)
@@ -292,21 +281,33 @@ def take_first(x: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(x,), _backward=bwd)
 
 
+def _give(*pairs: tuple[Tensor, np.ndarray]) -> None:
+    """Add each gradient to its tensor, if the tensor takes one."""
+    for tensor, grad in pairs:
+        if tensor.requires_grad:
+            tensor.accumulate_grad(grad)
+
+
+def _affine(x: np.ndarray, weight: Tensor, bias: Tensor):
+    """`x @ weight.T + bias` for a 2-D `x`, as one product.  `grads(g)`
+    hands `weight` and `bias` their gradients and returns the input's."""
+    def grads(g):
+        _give((weight, g.T @ x), (bias, g.sum(axis=0)))
+        return g @ weight.data
+
+    out = x @ weight.data.T
+    return np.add(out, bias.data, out=out), grads
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map `x @ weight.T + bias` with weight stored [out, in]."""
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(
             f"linear: input width {x.shape[-1]} != weight fan-in {weight.shape[1]}")
-    out_data = x.data @ weight.data.T + bias.data
+    out_data, grads = _affine(x.data.reshape(-1, x.shape[-1]), weight, bias)
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g @ weight.data)
-        if weight.requires_grad:
-            g2 = g.reshape(-1, g.shape[-1])
-            x2 = x.data.reshape(-1, x.shape[-1])
-            weight.accumulate_grad(g2.T @ x2)
-        if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, g.shape[-1]).sum(axis=0))
+        _give((x, grads(g.reshape(out_data.shape)).reshape(x.shape)))
 
-    return Tensor(out_data, _parents=(x, weight, bias), _backward=bwd)
+    return Tensor(out_data.reshape(*x.shape[:-1], -1),
+                  _parents=(x, weight, bias), _backward=bwd)

@@ -13,9 +13,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Parameter, Tensor
+from .autograd import Parameter, Tensor, _affine, _give
 from .errors import ArgumentError, ContractError
-from .numerics import dropout, gelu, layer_norm, masked_softmax, param_maker
+# gelu, layer_norm, masked_softmax and ag.matmul: unused, but bench/spans.py wraps them.
+from .numerics import (_gelu, _layer_norm, _masked_softmax, dropout,  # noqa
+                       gelu, layer_norm, masked_softmax, param_maker)
 
 LN_EPS = 1e-5
 
@@ -144,30 +146,74 @@ def embed(ids: np.ndarray, params: EncoderParams) -> Tensor:
 
 def self_attention(queries: Tensor, hidden: Tensor, mask: np.ndarray,
                    bp: BlockParams, config: EncoderConfig) -> Tensor:
-    """Multi-head scaled dot-product attention with PAD keys masked out.
+    """Multi-head scaled dot-product attention with PAD keys masked out,
+    as one op: projections, masked softmax, context and head merge.
 
     Keys and values come from every position of `hidden`; `queries` holds
     the positions that attend, `hidden` itself for a full-width block.
     """
     if np.any(mask.sum(axis=-1) < 1):
         raise ContractError("self_attention: sample with no real positions")
-    batch, n_queries, d = queries.shape
-    heads = config.n_heads
-    dh = d // heads
+    batch, _, d = queries.shape
+    dh = d // config.n_heads
+    scale = 1.0 / math.sqrt(dh)
 
-    def split_heads(x):
-        return ag.transpose(ag.reshape(x, (batch, x.shape[1], heads, dh)),
-                            (0, 2, 1, 3))
+    def split(x):  # [B * L, D] -> [B, H, L, dh]
+        return x.reshape(batch, -1, config.n_heads, dh).transpose(0, 2, 1, 3)
 
-    q = split_heads(ag.linear(queries, bp.wq, bp.bq))
-    k = split_heads(ag.linear(hidden, bp.wk, bp.bk))
-    v = split_heads(ag.linear(hidden, bp.wv, bp.bv))
-    scores = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    weights = masked_softmax(scores, mask)
-    context = ag.matmul(weights, v)
-    merged = ag.reshape(ag.transpose(context, (0, 2, 1, 3)),
-                        (batch, n_queries, d))
-    return ag.linear(merged, bp.wo, bp.bo)
+    def merge(x):  # [B, H, L, dh] -> [B * L, D]
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    q, q_grads = _affine(queries.data.reshape(-1, d), bp.wq, bp.bq)
+    k, k_grads = _affine(hidden.data.reshape(-1, d), bp.wk, bp.bk)
+    v, v_grads = _affine(hidden.data.reshape(-1, d), bp.wv, bp.bv)
+    q, k, v = split(q), split(k), split(v)
+    probs, scores_grad = _masked_softmax(q @ k.swapaxes(2, 3) * scale, mask)
+    out_data, out_grads = _affine(merge(probs @ v), bp.wo, bp.bo)
+
+    def bwd(g):
+        g_context = split(out_grads(g.reshape(out_data.shape)))
+        g_scores = scores_grad(g_context @ v.swapaxes(2, 3)) * scale
+        g_hidden = (k_grads(merge(g_scores.swapaxes(2, 3) @ q))
+                    + v_grads(merge(probs.swapaxes(2, 3) @ g_context)))
+        g_queries = q_grads(merge(g_scores @ k))
+        if queries is hidden:
+            g_hidden += g_queries
+        else:
+            _give((queries, g_queries.reshape(queries.shape)))
+        _give((hidden, g_hidden.reshape(hidden.shape)))
+
+    return Tensor(out_data.reshape(queries.shape),
+                  _parents=(queries, hidden, bp.wq, bp.bq, bp.wk, bp.bk,
+                            bp.wv, bp.bv, bp.wo, bp.bo), _backward=bwd)
+
+
+def feed_forward(x: Tensor, bp: BlockParams) -> Tensor:
+    """Linear, exact-erf GELU, linear, as one op; the GELU's CDF is kept
+    for the backward."""
+    pre, pre_grads = _affine(x.data.reshape(-1, x.shape[-1]), bp.w1, bp.b1)
+    act, slope = _gelu(pre)
+    out_data, out_grads = _affine(act, bp.w2, bp.b2)
+
+    def bwd(g):
+        g_pre = out_grads(g.reshape(out_data.shape)) * slope()
+        _give((x, pre_grads(g_pre).reshape(x.shape)))
+
+    return Tensor(out_data.reshape(x.shape),
+                  _parents=(x, bp.w1, bp.b1, bp.w2, bp.b2), _backward=bwd)
+
+
+def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
+             eps: float) -> Tensor:
+    """`layer_norm(x + y, gain, bias, eps)` as one op: both inputs get the
+    gradient of the sum."""
+    out_data, grads = _layer_norm(x.data + y.data, gain, bias, eps)
+
+    def bwd(g):
+        g_sum = grads(g)
+        _give((x, g_sum), (y, g_sum))
+
+    return Tensor(out_data, _parents=(x, y, gain, bias), _backward=bwd)
 
 
 def encoder_block(queries: Tensor, hidden: Tensor, mask: np.ndarray,
@@ -187,10 +233,10 @@ def encoder_block(queries: Tensor, hidden: Tensor, mask: np.ndarray,
     draw_shape = (hidden.shape[0], config.max_seq_len, hidden.shape[2])
     attn = self_attention(queries, hidden, mask, bp, config)
     attn = dropout(attn, config.dropout_rate, mode, rng, draw_shape)
-    h1 = layer_norm(queries + attn, bp.ln1_gain, bp.ln1_bias, LN_EPS)
-    ff = ag.linear(gelu(ag.linear(h1, bp.w1, bp.b1)), bp.w2, bp.b2)
-    ff = dropout(ff, config.dropout_rate, mode, rng, draw_shape)
-    return layer_norm(h1 + ff, bp.ln2_gain, bp.ln2_bias, LN_EPS)
+    h1 = add_norm(queries, attn, bp.ln1_gain, bp.ln1_bias, LN_EPS)
+    ff = dropout(feed_forward(h1, bp), config.dropout_rate, mode, rng,
+                 draw_shape)
+    return add_norm(h1, ff, bp.ln2_gain, bp.ln2_bias, LN_EPS)
 
 
 def encode_sequence(ids: np.ndarray, mask: np.ndarray, params: EncoderParams,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .autograd import Parameter, Tensor
+from .autograd import Parameter, Tensor, _give
 from .errors import ArgumentError, ContractError, NonFiniteError
 
 GELU_VARIANT = "exact-erf"
@@ -69,20 +69,24 @@ def relu(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact standard-normal CDF."""
+    out_data, slope = _gelu(x.data)
+    return Tensor(out_data, _parents=(x,),
+                  _backward=lambda g: _give((x, g * slope())))
+
+
+def _gelu(x: np.ndarray):
+    """`gelu` on arrays; `slope()` is d/dx x * Phi(x)."""
     # 0.5 * (1 + erf(x / sqrt 2)), built in one buffer.
-    cdf = x.data / math.sqrt(2.0)
+    cdf = x / math.sqrt(2.0)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out_data = (x.data * cdf).astype(x.dtype, copy=False)
 
-    def bwd(g):
-        if x.requires_grad:
-            pdf = np.exp(-0.5 * x.data ** 2) / math.sqrt(2.0 * math.pi)
-            x.accumulate_grad(g * (cdf + x.data * pdf).astype(x.dtype,
-                                                             copy=False))
+    def slope():
+        pdf = np.exp(-0.5 * x ** 2) / math.sqrt(2.0 * math.pi)
+        return (cdf + x * pdf).astype(x.dtype, copy=False)
 
-    return Tensor(out_data, _parents=(x,), _backward=bwd)
+    return (x * cdf).astype(x.dtype, copy=False), slope
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -107,46 +111,55 @@ def masked_softmax(scores: Tensor, key_mask: np.ndarray) -> Tensor:
     """
     if np.any(key_mask.sum(axis=-1) < 1):
         raise ContractError("masked_softmax: a sample has no unmasked key")
+    probs, scores_grad = _masked_softmax(scores.data, key_mask)
+    return Tensor(probs, _parents=(scores,),
+                  _backward=lambda g: _give((scores, scores_grad(g))))
+
+
+def _masked_softmax(scores: np.ndarray, key_mask: np.ndarray):
+    """`masked_softmax` on arrays; `scores_grad(g)` maps the gradient of
+    the probabilities to the scores'."""
     expanded = key_mask.reshape(
         key_mask.shape[0], *([1] * (scores.ndim - 2)), key_mask.shape[1])
     neg_inf = np.array(-np.inf, dtype=scores.dtype)
     # Shift, exponentiate and normalise in the one buffer `where` made.
-    probs = np.where(expanded > 0, scores.data, neg_inf)
+    probs = np.where(expanded > 0, scores, neg_inf)
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
 
-    def bwd(g):
-        if scores.requires_grad:
-            inner = (g * probs).sum(axis=-1, keepdims=True)
-            scores.accumulate_grad(probs * (g - inner))
+    def scores_grad(g):
+        inner = (g * probs).sum(axis=-1, keepdims=True)
+        return probs * (g - inner)
 
-    return Tensor(probs, _parents=(scores,), _backward=bwd)
+    return probs, scores_grad
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization over the last axis, then affine gain/bias."""
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    out_data = xhat * gain.data + bias.data
+    out_data, grads = _layer_norm(x.data, gain, bias, eps)
+    return Tensor(out_data, _parents=(x, gain, bias),
+                  _backward=lambda g: _give((x, grads(g))))
 
-    def bwd(g):
+
+def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
+    """`layer_norm` on arrays.  `grads(g)` hands `gain` and `bias` their
+    gradients and returns the input's."""
+    # The variance as x.var computes it, reusing the centred rows.
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv_std
+
+    def grads(g):
         d = x.shape[-1]
-        if gain.requires_grad:
-            gain.accumulate_grad(
-                (g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gx = g * gain.data
-            x.accumulate_grad(inv_std / d * (
-                d * gx
-                - gx.sum(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).sum(axis=-1, keepdims=True)))
+        _give((gain, (g * xhat).reshape(-1, d).sum(axis=0)),
+              (bias, g.reshape(-1, d).sum(axis=0)))
+        gx = g * gain.data
+        g_x = gx * d - gx.sum(axis=-1, keepdims=True)
+        g_x -= xhat * (gx * xhat).sum(axis=-1, keepdims=True)
+        return np.multiply(g_x, inv_std / d, out=g_x)
 
-    return Tensor(out_data, _parents=(x, gain, bias), _backward=bwd)
+    return xhat * gain.data + bias.data, grads
 
 
 def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator,

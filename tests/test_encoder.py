@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,11 +9,13 @@ from conftest import small_batch, small_model
 from ufnd import autograd as ag
 from ufnd import encoder as encoder_module
 from ufnd import model as model_module
-from ufnd.encoder import (EncoderConfig, embed, encode_sequence,
-                          encoder_block, init_encoder_params, param_count,
-                          select_blocks)
+from ufnd.autograd import Parameter, Tensor
+from ufnd.encoder import (EncoderConfig, add_norm, embed, encode_sequence,
+                          encoder_block, feed_forward, init_encoder_params,
+                          param_count, select_blocks, self_attention)
 from ufnd.errors import ArgumentError, ContractError
-from ufnd.numerics import RngStreams, grad_check, nll_loss
+from ufnd.numerics import (RngStreams, gelu, grad_check, layer_norm,
+                           masked_softmax, nll_loss)
 
 
 def tiny_encoder_config(**overrides):
@@ -323,3 +327,145 @@ class TestSmallModelGradCheck:
             lambda: nll_loss(model.forward(ids, mask, "eval"), labels),
             model.parameters(), eps=1e-5, abs_floor=1e-10, n_samples=60)
         assert res.max_rel_error < 1e-4, res.worst_param
+
+
+# -- the sub-layer ops against the generic-op composition they replace --
+
+
+def transpose(x, axes):
+    """A generic transpose op, for the reference composition."""
+    inv = np.argsort(axes)
+    return Tensor(np.transpose(x.data, axes), _parents=(x,),
+                  _backward=lambda g: x.accumulate_grad(np.transpose(g, inv)))
+
+
+def composed_attention(queries, hidden, mask, bp, config):
+    """The attention body as generic ops, as it was before `self_attention`
+    became one op."""
+    batch, n_queries, d = queries.shape
+    heads = config.n_heads
+    dh = d // heads
+
+    def split_heads(x):
+        return transpose(ag.reshape(x, (batch, x.shape[1], heads, dh)),
+                         (0, 2, 1, 3))
+
+    q = split_heads(ag.linear(queries, bp.wq, bp.bq))
+    k = split_heads(ag.linear(hidden, bp.wk, bp.bk))
+    v = split_heads(ag.linear(hidden, bp.wv, bp.bv))
+    scores = ag.matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    context = ag.matmul(masked_softmax(scores, mask), v)
+    merged = ag.reshape(transpose(context, (0, 2, 1, 3)),
+                        (batch, n_queries, d))
+    return ag.linear(merged, bp.wo, bp.bo)
+
+
+def composed_feed_forward(x, bp):
+    return ag.linear(gelu(ag.linear(x, bp.w1, bp.b1)), bp.w2, bp.b2)
+
+
+def composed_add_norm(x, y, gain, bias, eps):
+    return layer_norm(x + y, gain, bias, eps)
+
+
+def probe(out):
+    """A scalar that weighs every entry of `out` differently."""
+    size = out.data.size
+    weights = np.random.default_rng(1).standard_normal((1, size))
+    flat = ag.linear(ag.reshape(out, (1, size)), Tensor(weights),
+                     Tensor(np.zeros(1)))
+    return ag.reshape(flat, ())
+
+
+class TestSubLayerOps:
+    """Each sub-layer is one op with a hand-written backward.  Rows of 4, 2
+    and 3 real positions out of 5: masked keys and a trailing PAD column."""
+
+    MASK = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0], [1, 1, 1, 0, 0]],
+                    dtype=np.float32)
+
+    def make_block(self):
+        cfg = tiny_encoder_config(block_subset=(1,))
+        rng = np.random.default_rng(6)
+        bp = init_encoder_params(cfg, rng, np.float64).blocks[1]
+        for p in bp.parameters():  # biases off 0 and gains off 1
+            p.data += 0.3 * rng.standard_normal(p.shape)
+
+        def tensor(name, shape):
+            return Parameter(rng.standard_normal(shape), name)
+
+        return cfg, bp, tensor
+
+    def cases(self):
+        """(name, run(op), (fused op, composed op), tensors whose gradient
+        is checked)"""
+        cfg, bp, tensor = self.make_block()
+        hidden = tensor("hidden", (3, 5, 8))
+        pooled = tensor("pooled", (3, 1, 8))
+        x, y = tensor("x", (3, 5, 8)), tensor("y", (3, 5, 8))
+        attention = [bp.wq, bp.bq, bp.wk, bp.bk, bp.wv, bp.bv, bp.wo, bp.bo]
+        return [
+            ("attention", lambda op: op(hidden, hidden, self.MASK, bp, cfg),
+             (self_attention, composed_attention), [hidden] + attention),
+            ("pooled attention",
+             lambda op: op(pooled, hidden, self.MASK, bp, cfg),
+             (self_attention, composed_attention),
+             [pooled, hidden] + attention),
+            ("feed-forward", lambda op: op(x, bp),
+             (feed_forward, composed_feed_forward),
+             [x, bp.w1, bp.b1, bp.w2, bp.b2]),
+            ("add-norm",
+             lambda op: op(x, y, bp.ln1_gain, bp.ln1_bias, 1e-5),
+             (add_norm, composed_add_norm),
+             [x, y, bp.ln1_gain, bp.ln1_bias]),
+        ]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_float64_grad_check(self, case):
+        name, run, (fused, _), tensors = self.cases()[case]
+        # abs_floor: the finite difference of `attn_k/b`, whose true
+        # gradient is zero, is rounding noise of about 1e-9.
+        res = grad_check(lambda: probe(run(fused)), tensors, eps=1e-6,
+                         abs_floor=1e-8, n_samples=300)
+        assert res.max_rel_error < 1e-5, (name, res.worst_param)
+        assert {n for n, *_ in res.errors} == {t.name for t in tensors}
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_matches_the_composition(self, case):
+        name, run, ops, tensors = self.cases()[case]
+        results = []
+        for op in ops:
+            for t in tensors:
+                t.zero_grad()
+            out = run(op)
+            probe(out).backward()
+            results.append((out.data, [t.grad.copy() for t in tensors]))
+        (fused_out, fused_grads), (ref_out, ref_grads) = results
+        np.testing.assert_allclose(fused_out, ref_out, rtol=1e-12)
+        # atol: `attn_k/b` has zero true gradient (softmax cancels a
+        # per-query shift), so both sides hold rounding noise there.
+        for t, got, want in zip(tensors, fused_grads, ref_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14,
+                                       err_msg=f"{name}: {t.name}")
+
+    def test_add_norm_gives_both_inputs_the_same_gradient(self):
+        _, run, (fused, _), (x, y, *_) = self.cases()[3]
+        probe(run(fused)).backward()
+        np.testing.assert_array_equal(x.grad, y.grad)
+
+    def test_train_step_makes_six_tensors_per_block(self, monkeypatch):
+        ids, mask, labels = small_batch()
+        models = [small_model(block_subset=s) for s in ((1,), (1, 2))]
+        counts = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            counts[-1] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        for model in models:
+            counts.append(0)
+            nll_loss(model.forward(ids, mask, "train"), labels).backward()
+        # attention, dropout, add-norm, feed-forward, dropout, add-norm
+        assert counts[1] - counts[0] == 6
