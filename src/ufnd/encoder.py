@@ -189,8 +189,9 @@ def self_attention(queries: Tensor, hidden: Tensor, mask: np.ndarray,
 
 
 def feed_forward(x: Tensor, bp: BlockParams) -> Tensor:
-    """Linear, exact-erf GELU, linear, as one op; the GELU's CDF is kept
-    for the backward."""
+    """Linear, GELU, linear, as one op; the GELU's CDF is kept for the
+    backward.  The GELU uses erf, not the tanh form; float32 `erf` is a
+    clamped rational fit, and the CDF's error is under 3e-7."""
     pre, pre_grads = _affine(x.data.reshape(-1, x.shape[-1]), bp.w1, bp.b1)
     act, slope = _gelu(pre)
     out_data, out_grads = _affine(act, bp.w2, bp.b2)

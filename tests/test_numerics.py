@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,15 @@ from ufnd.numerics import (AdamState, RngStreams, adam_step, assert_all_finite,
                            clip_global_norm, dropout, gelu, grad_check,
                            layer_norm, log_softmax, masked_softmax, nll_loss,
                            relu, xavier_init)
+from ufnd.numerics import _erf, _gelu
+
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+def _exact_cdf(x64):
+    """0.5 * (1 + erf(x / sqrt 2)) through math.erf, in the kernel's order."""
+    erf = np.frompyfunc(math.erf, 1, 1)(x64 / math.sqrt(2.0))
+    return (erf.astype(np.float64) + 1.0) * 0.5
 
 
 class TestLogSoftmax:
@@ -67,17 +80,71 @@ class TestGelu:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_keeps_dtype_and_matches_formula(self, dtype):
-        from scipy.special import erf
         rng = np.random.default_rng(4)
         x = Parameter(rng.standard_normal((3, 5)).astype(dtype), "x")
         before = x.data.copy()
         out = gelu(x)
-        cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
         assert out.dtype == dtype
         np.testing.assert_array_equal(x.data, before)
-        np.testing.assert_array_equal(out.data, x.data * cdf)
+        x64 = x.data.astype(np.float64)
+        expected = x64 * _exact_cdf(x64)
+        if dtype == np.float64:
+            # the kernel runs math.erf in float64, in the same order
+            np.testing.assert_array_equal(out.data, expected)
+        else:
+            assert np.all(np.abs(out.data - expected)
+                          <= 4 * EPS32 * np.maximum(1.0, np.abs(x64)))
         out.backward()
         assert x.grad.dtype == dtype
+
+    def test_float32_matches_exact_erf_on_dense_grid(self):
+        # takes in the clamp point +-4 sqrt 2 and |x| > 5.7, where float32
+        # erf saturates
+        x = np.linspace(-12.0, 12.0, 240_001, dtype=np.float32)
+        clamp = np.float32(4.0 * math.sqrt(2.0))
+        x = np.concatenate([x, [-clamp, clamp]]).astype(np.float32)
+        out, slope = _gelu(x)
+        x64 = x.astype(np.float64)
+        cdf = _exact_cdf(x64)
+        pdf = np.exp(-0.5 * x64 ** 2) / math.sqrt(2.0 * math.pi)
+        bound = 4 * EPS32 * np.maximum(1.0, np.abs(x64))
+        assert out.dtype == np.float32
+        assert np.all(np.abs(out - x64 * cdf) <= bound)
+        assert np.all(np.abs(slope() - (cdf + x64 * pdf)) <= bound)
+        ours = x / np.float32(math.sqrt(2.0))
+        _erf(ours)
+        ours += 1.0
+        ours *= 0.5
+        assert ours.min() >= 0.0 and ours.max() <= 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_stays_nan_and_inf_stays_inf(self, dtype):
+        out, _ = _gelu(np.array([np.nan, np.inf], dtype=dtype))
+        assert np.isnan(out[0])
+        assert out[1] == np.inf
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slope_is_bitwise_the_unfused_expression(self, dtype):
+        x = np.random.default_rng(5).standard_normal((40, 16)).astype(dtype)
+        _, slope = _gelu(x)
+        cdf = x / math.sqrt(2.0)
+        _erf(cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        pdf = np.exp(-0.5 * x ** 2) / math.sqrt(2.0 * math.pi)
+        got = slope()
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, cdf + x * pdf)
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, ufnd.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestLayerNorm:
