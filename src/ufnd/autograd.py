@@ -268,15 +268,22 @@ def embedding(table: Parameter, ids: np.ndarray) -> Tensor:
     return Tensor(out_data, _parents=(table,), _backward=bwd)
 
 
-def take_first(x: Tensor) -> Tensor:
-    """Select position 0 along axis 1, keeping it: [B, L, D] -> [B, 1, D]."""
-    out_data = x.data[:, :1, :].copy()
+def take_rows(x: Tensor, rows: np.ndarray | None) -> Tensor:
+    """Rows `rows` of `x` seen as [-1, D]: [..., D] -> [len(rows), D].
+
+    With `rows` None it takes every row, as a view.  The backward puts
+    the gradient back at those rows, zeros elsewhere.
+    """
+    flat = x.data.reshape(-1, x.shape[-1])
+    out_data = flat if rows is None else flat[rows]
 
     def bwd(g):
         if x.requires_grad:
-            grad = np.zeros_like(x.data)
-            grad[:, :1, :] = g
-            x.accumulate_grad(grad)
+            grad = g
+            if rows is not None:
+                grad = np.zeros_like(flat)
+                grad[rows] = g
+            x.accumulate_grad(grad.reshape(x.shape))
 
     return Tensor(out_data, _parents=(x,), _backward=bwd)
 

@@ -144,19 +144,57 @@ def embed(ids: np.ndarray, params: EncoderParams) -> Tensor:
     return tok + ag.embedding(params.position_embedding, positions)
 
 
-def self_attention(queries: Tensor, hidden: Tensor, mask: np.ndarray,
+class Layout:
+    """Where a batch's real positions sit in its cut `[B, W]` grid.
+
+    The encoder keeps one row per real position, and each sample's
+    position 0 (the pooled query) even if it is PAD, packed `[n, D]` in
+    row-major order.  `index` holds their flat `[B * W]` indices, or is
+    None when every position is kept: `gather` and `scatter` are then
+    reshapes and copy nothing.  `firsts` are the packed rows of the
+    samples' position 0.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        if np.any(mask.sum(axis=-1) < 1):
+            raise ContractError("encoder: sample with no real positions")
+        self.mask = mask
+        keep = mask > 0
+        keep[:, 0] = True
+        counts = keep.sum(axis=1)
+        self.index = None if keep.all() else np.flatnonzero(keep)
+        self.firsts = np.cumsum(counts) - counts
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """`[B * W, D]` -> the packed rows."""
+        return x if self.index is None else x[self.index]
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """The packed rows -> `[B * W, D]`, zeros at the rows not kept."""
+        if self.index is None:
+            return x
+        out = np.zeros((self.mask.size, x.shape[-1]), dtype=x.dtype)
+        out[self.index] = x
+        return out
+
+
+def self_attention(queries: Tensor, hidden: Tensor, layout: Layout,
                    bp: BlockParams, config: EncoderConfig) -> Tensor:
     """Multi-head scaled dot-product attention with PAD keys masked out,
     as one op: projections, masked softmax, context and head merge.
 
-    Keys and values come from every position of `hidden`; `queries` holds
-    the positions that attend, `hidden` itself for a full-width block.
+    `hidden` holds the batch's packed rows (`layout`), and each serves as
+    key and value.  `queries` holds the rows that attend: `hidden` itself
+    for a full-width block, or one `[B, D]` row per sample.  The Q, K, V
+    and O projections run on those rows; only the scores, the softmax and
+    the context run per sample, on Q, K and V scattered to the cut width
+    with zeros at PAD.  So a PAD query weighs the real keys evenly; its
+    output is dropped.
     """
-    if np.any(mask.sum(axis=-1) < 1):
-        raise ContractError("self_attention: sample with no real positions")
-    batch, _, d = queries.shape
+    batch, d = layout.mask.shape[0], hidden.shape[-1]
     dh = d // config.n_heads
     scale = 1.0 / math.sqrt(dh)
+    full = queries is hidden
 
     def split(x):  # [B * L, D] -> [B, H, L, dh]
         return x.reshape(batch, -1, config.n_heads, dh).transpose(0, 2, 1, 3)
@@ -164,44 +202,52 @@ def self_attention(queries: Tensor, hidden: Tensor, mask: np.ndarray,
     def merge(x):  # [B, H, L, dh] -> [B * L, D]
         return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    q, q_grads = _affine(queries.data.reshape(-1, d), bp.wq, bp.bq)
-    k, k_grads = _affine(hidden.data.reshape(-1, d), bp.wk, bp.bk)
-    v, v_grads = _affine(hidden.data.reshape(-1, d), bp.wv, bp.bv)
-    q, k, v = split(q), split(k), split(v)
-    probs, scores_grad = _masked_softmax(q @ k.swapaxes(2, 3) * scale, mask)
-    out_data, out_grads = _affine(merge(probs @ v), bp.wo, bp.bo)
+    def grid(x):  # query rows -> [B * L, D]
+        return layout.scatter(x) if full else x
+
+    def rows(x):  # [B * L, D] -> query rows
+        return layout.gather(x) if full else x
+
+    q, q_grads = _affine(queries.data, bp.wq, bp.bq)
+    k, k_grads = _affine(hidden.data, bp.wk, bp.bk)
+    v, v_grads = _affine(hidden.data, bp.wv, bp.bv)
+    q, k, v = split(grid(q)), split(layout.scatter(k)), split(layout.scatter(v))
+    probs, scores_grad = _masked_softmax(q @ k.swapaxes(2, 3) * scale,
+                                         layout.mask)
+    out_data, out_grads = _affine(rows(merge(probs @ v)), bp.wo, bp.bo)
 
     def bwd(g):
-        g_context = split(out_grads(g.reshape(out_data.shape)))
+        g_context = split(grid(out_grads(g)))
         g_scores = scores_grad(g_context @ v.swapaxes(2, 3)) * scale
-        g_hidden = (k_grads(merge(g_scores.swapaxes(2, 3) @ q))
-                    + v_grads(merge(probs.swapaxes(2, 3) @ g_context)))
-        g_queries = q_grads(merge(g_scores @ k))
-        if queries is hidden:
+        g_k = layout.gather(merge(g_scores.swapaxes(2, 3) @ q))
+        g_v = layout.gather(merge(probs.swapaxes(2, 3) @ g_context))
+        g_hidden = k_grads(g_k) + v_grads(g_v)
+        g_queries = q_grads(rows(merge(g_scores @ k)))
+        if full:
             g_hidden += g_queries
         else:
-            _give((queries, g_queries.reshape(queries.shape)))
-        _give((hidden, g_hidden.reshape(hidden.shape)))
+            _give((queries, g_queries))
+        _give((hidden, g_hidden))
 
-    return Tensor(out_data.reshape(queries.shape),
+    return Tensor(out_data,
                   _parents=(queries, hidden, bp.wq, bp.bq, bp.wk, bp.bk,
                             bp.wv, bp.bv, bp.wo, bp.bo), _backward=bwd)
 
 
 def feed_forward(x: Tensor, bp: BlockParams) -> Tensor:
-    """Linear, GELU, linear, as one op; the GELU's CDF is kept for the
-    backward.  The GELU uses erf, not the tanh form; float32 `erf` is a
-    clamped rational fit, and the CDF's error is under 3e-7."""
-    pre, pre_grads = _affine(x.data.reshape(-1, x.shape[-1]), bp.w1, bp.b1)
+    """Linear, GELU, linear on the rows of a 2-D `x`, as one op; the
+    GELU's CDF is kept for the backward.  The GELU uses erf, not the tanh
+    form; float32 `erf` is a clamped rational fit, and the CDF's error is
+    under 3e-7."""
+    pre, pre_grads = _affine(x.data, bp.w1, bp.b1)
     act, slope = _gelu(pre)
     out_data, out_grads = _affine(act, bp.w2, bp.b2)
 
     def bwd(g):
-        g_pre = out_grads(g.reshape(out_data.shape)) * slope()
-        _give((x, pre_grads(g_pre).reshape(x.shape)))
+        _give((x, pre_grads(out_grads(g) * slope())))
 
-    return Tensor(out_data.reshape(x.shape),
-                  _parents=(x, bp.w1, bp.b1, bp.w2, bp.b2), _backward=bwd)
+    return Tensor(out_data, _parents=(x, bp.w1, bp.b1, bp.w2, bp.b2),
+                  _backward=bwd)
 
 
 def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
@@ -217,26 +263,35 @@ def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
     return Tensor(out_data, _parents=(x, y, gain, bias), _backward=bwd)
 
 
-def encoder_block(queries: Tensor, hidden: Tensor, mask: np.ndarray,
+def encoder_block(queries: Tensor, hidden: Tensor, layout: Layout,
                   bp: BlockParams, config: EncoderConfig, mode: str,
                   rng: np.random.Generator) -> Tensor:
     """Post-norm block: attention and feed-forward sub-layers with
     residual connections and layer normalization.
 
-    Every position of `hidden` serves as key and value; the block's
-    output has one row per position of `queries` (`hidden` itself for a
-    full-width block).  Dropout masks are drawn at the full
-    ``(batch, max_seq_len, d_model)`` shape whatever the width of
-    `queries`, so a step consumes the same random numbers however many
-    columns were cut, and each kept position gets the mask values it
-    would get at full width.
+    `hidden` holds the batch's packed rows (`layout`), and every one
+    serves as key and value.  The block's output has one row per row of
+    `queries`: `hidden` itself for a full-width block, or one row per
+    sample for the pooled block.  Dropout masks are drawn at the cut
+    width, as the leading corner of the full ``(batch, max_seq_len,
+    d_model)`` shape, and each row takes its own position's values.  So
+    a step consumes the same random numbers however many columns were cut
+    or rows packed, and each position gets the mask values it would get
+    at full width.
     """
-    draw_shape = (hidden.shape[0], config.max_seq_len, hidden.shape[2])
-    attn = self_attention(queries, hidden, mask, bp, config)
-    attn = dropout(attn, config.dropout_rate, mode, rng, draw_shape)
+    batch, width = layout.mask.shape
+    d = hidden.shape[-1]
+    draw_shape = (batch, config.max_seq_len, d)
+    if queries is hidden:
+        corner, rows = (batch, width, d), layout.index
+    else:
+        corner, rows = (batch, 1, d), None
+    attn = self_attention(queries, hidden, layout, bp, config)
+    attn = dropout(attn, config.dropout_rate, mode, rng, draw_shape, corner,
+                   rows)
     h1 = add_norm(queries, attn, bp.ln1_gain, bp.ln1_bias, LN_EPS)
     ff = dropout(feed_forward(h1, bp), config.dropout_rate, mode, rng,
-                 draw_shape)
+                 draw_shape, corner, rows)
     return add_norm(h1, ff, bp.ln2_gain, bp.ln2_bias, LN_EPS)
 
 
@@ -245,21 +300,24 @@ def encode_sequence(ids: np.ndarray, mask: np.ndarray, params: EncoderParams,
                     rng: np.random.Generator) -> Tensor:
     """Embed, run retained blocks in ascending index order, pool position 0.
 
-    Columns after the batch's last real position are cut first.  Masked
-    keys get exactly zero attention weight and only position 0 is
-    pooled, so the cut changes nothing but float rounding, and a batch
-    with no all-PAD trailing column runs unchanged.  For the same reason
-    the last block attends from position 0 alone: its other positions
-    would reach neither the loss nor the prediction.
+    Columns after the batch's last real position are cut first.  Then
+    the real positions are packed once (`Layout`): every block projects,
+    normalises and runs the feed-forward on those rows only, and attends
+    per sample over the cut width.  Masked keys get exactly zero
+    attention weight and only position 0 is pooled, so neither the cut
+    nor the packing changes anything but float rounding, and a batch with
+    no PAD runs unchanged.  For the same reason the last block attends
+    from position 0 alone: its other positions would reach neither the
+    loss nor the prediction.
     """
     real_cols = np.flatnonzero(np.any(mask, axis=0))
     width = int(real_cols[-1]) + 1 if real_cols.size else ids.shape[1]
     ids, mask = ids[:, :width], mask[:, :width]
-    hidden = embed(ids, params)
+    layout = Layout(mask)
+    hidden = ag.take_rows(embed(ids, params), layout.index)
     *full_width, last = config.block_subset
     for idx in full_width:
-        hidden = encoder_block(hidden, hidden, mask, params.blocks[idx],
+        hidden = encoder_block(hidden, hidden, layout, params.blocks[idx],
                                config, mode, rng)
-    pooled = encoder_block(ag.take_first(hidden), hidden, mask,
-                           params.blocks[last], config, mode, rng)
-    return ag.reshape(pooled, (pooled.shape[0], pooled.shape[2]))
+    return encoder_block(ag.take_rows(hidden, layout.firsts), hidden, layout,
+                         params.blocks[last], config, mode, rng)

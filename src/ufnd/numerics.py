@@ -202,12 +202,16 @@ def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
 
 
 def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator,
-            draw_shape: tuple[int, ...] | None = None) -> Tensor:
+            draw_shape: tuple[int, ...] | None = None,
+            corner: tuple[int, ...] | None = None,
+            rows: np.ndarray | None = None) -> Tensor:
     """Inverted dropout; identity in eval mode or at rate 0.
 
-    With `draw_shape`, `x` gets the values it would get as the leading
-    corner of a `draw_shape` input, and `rng` ends where that full draw
-    would leave it; only the corner's values are drawn.
+    The mask is drawn at `corner` (by default `x.shape`).  With
+    `draw_shape`, that is the leading corner of a `draw_shape` draw: `rng`
+    ends where the full draw would leave it, but only the corner's values
+    are drawn.  With `rows`, `x` holds just those rows of the corner seen
+    as [-1, x.shape[-1]], and each gets its row's mask values.
     """
     if not 0.0 <= rate < 1.0:
         raise ArgumentError(f"dropout rate must be in [0, 1), got {rate}")
@@ -215,9 +219,12 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator,
         return x
     if mode != "train":
         raise ArgumentError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    draws = np.empty(x.shape)
-    _draw_corner(rng, draws, tuple(draw_shape or x.shape))
-    keep = (draws >= rate).astype(x.dtype)
+    draws = np.empty(corner or x.shape)
+    _draw_corner(rng, draws, tuple(draw_shape or draws.shape))
+    keep = draws >= rate
+    if rows is not None:
+        keep = keep.reshape(-1, x.shape[-1])[rows]
+    keep = keep.reshape(x.shape).astype(x.dtype)
     scale = 1.0 / (1.0 - rate)
     out_data = x.data * keep * scale
 

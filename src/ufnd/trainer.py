@@ -274,23 +274,39 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
 
 
 def estimate_cost(encoder_cfg: EncoderConfig, head_cfg: HeadConfig,
-                  seq_len: int, batch_size: int) -> float:
+                  seq_len: int, batch_size: int,
+                  true_lengths: list[int] | np.ndarray | None = None
+                  ) -> float:
     """Multiply-accumulate count per training step (backward = 2x forward).
 
-    The last retained block projects keys and values at every position
-    but runs queries, attention, output projection and feed-forward for
-    the pooled position only.
+    Every row counts at `seq_len` positions, unless `true_lengths` gives
+    each row's real length.  The encoder then cuts the batch to its widest
+    row W: the projections and the feed-forward run on real positions
+    only, and the scores and weighted values on W x W per row.  The last
+    retained block projects keys and values at every (real) position but
+    runs queries, attention, output projection and feed-forward for the
+    pooled position only.
     """
     d, ff = encoder_cfg.d_model, encoder_cfg.d_ff
+    if true_lengths is None:
+        true_lengths = [seq_len] * batch_size
+    lengths = [int(n) for n in true_lengths]
+    if len(lengths) != batch_size or not all(1 <= n <= seq_len
+                                             for n in lengths):
+        raise ArgumentError(
+            f"true_lengths must hold {batch_size} lengths in [1, {seq_len}]")
+    width, real = max(lengths), sum(lengths)
 
-    def block(n_queries):
-        return (2 * seq_len * d * d                # K/V projections
-                + 2 * n_queries * d * d            # Q/O projections
-                + 2 * n_queries * seq_len * d      # scores and weighted values
-                + 2 * n_queries * d * ff)          # feed-forward
+    def block(n_queries, n_attending):
+        return (2 * real * d * d                    # K/V projections
+                + 2 * n_queries * d * d             # Q/O projections
+                + 2 * n_attending * width * d       # scores, weighted values
+                + 2 * n_queries * d * ff)           # feed-forward
 
     n_blocks = len(encoder_cfg.block_subset)
-    encoder = seq_len * d + (n_blocks - 1) * block(seq_len) + block(1)
+    encoder = (batch_size * width * d
+               + (n_blocks - 1) * block(real, batch_size * width)
+               + block(batch_size, batch_size))
     head = (head_cfg.d_in * head_cfg.h1 + head_cfg.h1 * head_cfg.h2
             + head_cfg.h2 * head_cfg.n_classes)
-    return 3.0 * batch_size * (encoder + head)
+    return 3.0 * (encoder + batch_size * head)

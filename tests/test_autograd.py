@@ -119,14 +119,22 @@ class TestStructural:
         with pytest.raises(ShapeError):
             ag.embedding(table, np.array([[5]]))
 
-    def test_take_first(self):
+    def test_take_rows(self):
         x = Parameter(np.arange(24, dtype=np.float32).reshape(2, 3, 4), "x")
-        out = ag.take_first(x)
-        assert out.shape == (2, 1, 4)
-        np.testing.assert_array_equal(out.data[:, 0, :], x.data[:, 0, :])
+        out = ag.take_rows(x, np.array([0, 3]))
+        assert out.shape == (2, 4)
+        np.testing.assert_array_equal(out.data, x.data[:, 0, :])
         out.backward()
         assert x.grad[:, 0, :].sum() == 8.0
         assert x.grad[:, 1:, :].sum() == 0.0
+
+    def test_take_rows_none_is_a_view(self):
+        x = Parameter(np.arange(24, dtype=np.float32).reshape(2, 3, 4), "x")
+        out = ag.take_rows(x, None)
+        assert out.shape == (6, 4)
+        assert np.shares_memory(out.data, x.data)
+        out.backward()
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
 
     def test_linear_matches_finite_differences(self):
         rng = np.random.default_rng(2)

@@ -10,9 +10,10 @@ from ufnd import autograd as ag
 from ufnd import encoder as encoder_module
 from ufnd import model as model_module
 from ufnd.autograd import Parameter, Tensor
-from ufnd.encoder import (EncoderConfig, add_norm, embed, encode_sequence,
-                          encoder_block, feed_forward, init_encoder_params,
-                          param_count, select_blocks, self_attention)
+from ufnd.encoder import (EncoderConfig, Layout, add_norm, embed,
+                          encode_sequence, encoder_block, feed_forward,
+                          init_encoder_params, param_count, select_blocks,
+                          self_attention)
 from ufnd.errors import ArgumentError, ContractError
 from ufnd.numerics import (RngStreams, gelu, grad_check, layer_norm,
                            masked_softmax, nll_loss)
@@ -205,26 +206,60 @@ class TestLengthCut:
         out = encode_sequence(ids, mask, params, cfg, mode,
                               np.random.default_rng(0)).data
         rng = np.random.default_rng(0)
-        hidden = embed(ids, params)
+        layout = Layout(mask)
+        hidden = ag.take_rows(embed(ids, params), layout.index)
         for idx in cfg.block_subset[:-1]:
-            hidden = encoder_block(hidden, hidden, mask, params.blocks[idx],
+            hidden = encoder_block(hidden, hidden, layout, params.blocks[idx],
                                    cfg, mode, rng)
-        pooled = encoder_block(ag.take_first(hidden), hidden, mask,
-                               params.blocks[cfg.block_subset[-1]], cfg,
-                               mode, rng)
-        np.testing.assert_array_equal(out, pooled.data[:, 0, :])
+        pooled = encoder_block(ag.take_rows(hidden, layout.firsts), hidden,
+                               layout, params.blocks[cfg.block_subset[-1]],
+                               cfg, mode, rng)
+        np.testing.assert_array_equal(out, pooled.data)
 
 
 def full_width_encode(ids, mask, params, config, mode, rng):
     """The encoder with every block full width, then position 0 pooled."""
     width = int(np.flatnonzero(np.any(mask, axis=0))[-1]) + 1
     ids, mask = ids[:, :width], mask[:, :width]
-    hidden = embed(ids, params)
+    layout = Layout(mask)
+    hidden = ag.take_rows(embed(ids, params), layout.index)
     for idx in config.block_subset:
-        hidden = encoder_block(hidden, hidden, mask, params.blocks[idx],
+        hidden = encoder_block(hidden, hidden, layout, params.blocks[idx],
                                config, mode, rng)
-    first = ag.take_first(hidden)
-    return ag.reshape(first, (first.shape[0], first.shape[2]))
+    return ag.take_rows(hidden, layout.firsts)
+
+
+class TestLayout:
+    MASK = np.array(
+        [[1, 1, 1, 1, 0], [1, 1, 0, 0, 0], [1, 1, 1, 0, 0]], dtype=np.float32)
+
+    def test_no_pad_is_the_identity(self):
+        layout = Layout(np.ones((3, 5), dtype=np.float32))
+        assert layout.index is None
+        x = np.arange(15 * 2, dtype=np.float32).reshape(15, 2)
+        assert layout.gather(x) is x and layout.scatter(x) is x
+        np.testing.assert_array_equal(layout.firsts, [0, 5, 10])
+
+    def test_gather_then_scatter_keeps_real_rows_and_zeros_pad(self):
+        layout = Layout(self.MASK)
+        x = np.random.default_rng(0).standard_normal((15, 4)) + 5.0
+        packed = layout.gather(x)
+        assert packed.shape == (9, 4)
+        back = layout.scatter(packed)
+        real = self.MASK.reshape(-1) > 0
+        np.testing.assert_array_equal(back[real], x[real])
+        assert np.all(back[~real] == 0.0)
+        np.testing.assert_array_equal(packed[layout.firsts], x[[0, 5, 10]])
+
+    def test_position_zero_is_kept_even_when_pad(self):
+        mask = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.float32)
+        layout = Layout(mask)
+        np.testing.assert_array_equal(layout.index, [0, 1, 2, 3])
+        np.testing.assert_array_equal(layout.firsts, [0, 3])
+
+    def test_sample_with_no_real_position_rejected(self):
+        with pytest.raises(ContractError):
+            Layout(np.array([[1, 1], [0, 0]], dtype=np.float32))
 
 
 class TestPooledLastBlock:
@@ -247,8 +282,9 @@ class TestPooledLastBlock:
         out = encode_sequence(ids, mask, params, cfg, "train",
                               np.random.default_rng(0))
         assert out.shape == (3, 8)
-        assert seen == [((3, 7, 8), (3, 7, 8))] * 2 + [((3, 1, 8),
-                                                        (3, 7, 8))]
+        # 5 + 3 + 7 real positions, packed; the pooled block's queries are
+        # the three position-0 rows.
+        assert seen == [((15, 8), (15, 8))] * 2 + [((3, 8), (15, 8))]
 
     @pytest.mark.parametrize("subset", SUBSETS)
     def test_eval_log_probs_match_full_width(self, subset, monkeypatch):
@@ -286,7 +322,7 @@ class TestPooledLastBlock:
 
     def test_float64_grad_check_single_block(self):
         # Encoder parameters only, so the samples land where the pooled
-        # query's gradient flows back through `take_first`.
+        # query's gradient flows back through `take_rows`.
         model = small_model(dtype=np.float64, dropout_rate=0.0,
                             block_subset=(2,))
         ids, mask, labels = small_batch()
@@ -360,6 +396,27 @@ def composed_attention(queries, hidden, mask, bp, config):
     return ag.linear(merged, bp.wo, bp.bo)
 
 
+def scatter(x, layout):
+    """Packed rows -> the [B, W, D] grid with zeros at PAD, as a generic op."""
+    batch, width = layout.mask.shape
+    return Tensor(layout.scatter(x.data).reshape(batch, width, -1),
+                  _parents=(x,),
+                  _backward=lambda g: x.accumulate_grad(
+                      layout.gather(g.reshape(batch * width, -1))))
+
+
+def composed_packed_attention(queries, hidden, layout, bp, config):
+    """`composed_attention` on the scattered [B, W, D] view of the packed
+    rows, with the query rows taken back out."""
+    grid = scatter(hidden, layout)
+    if queries is hidden:
+        out = composed_attention(grid, grid, layout.mask, bp, config)
+        return ag.take_rows(out, layout.index)
+    pooled = ag.reshape(queries, (queries.shape[0], 1, queries.shape[1]))
+    return ag.take_rows(composed_attention(pooled, grid, layout.mask, bp,
+                                           config), None)
+
+
 def composed_feed_forward(x, bp):
     return ag.linear(gelu(ag.linear(x, bp.w1, bp.b1)), bp.w2, bp.b2)
 
@@ -378,8 +435,9 @@ def probe(out):
 
 
 class TestSubLayerOps:
-    """Each sub-layer is one op with a hand-written backward.  Rows of 4, 2
-    and 3 real positions out of 5: masked keys and a trailing PAD column."""
+    """Each sub-layer is one op with a hand-written backward, on packed
+    rows.  Samples of 4, 2 and 3 real positions out of 5: masked keys and
+    a trailing PAD column, packed into 9 rows."""
 
     MASK = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0], [1, 1, 1, 0, 0]],
                     dtype=np.float32)
@@ -400,16 +458,18 @@ class TestSubLayerOps:
         """(name, run(op), (fused op, composed op), tensors whose gradient
         is checked)"""
         cfg, bp, tensor = self.make_block()
-        hidden = tensor("hidden", (3, 5, 8))
-        pooled = tensor("pooled", (3, 1, 8))
-        x, y = tensor("x", (3, 5, 8)), tensor("y", (3, 5, 8))
+        layout = Layout(self.MASK)
+        hidden = tensor("hidden", (9, 8))
+        pooled = tensor("pooled", (3, 8))
+        x, y = tensor("x", (9, 8)), tensor("y", (9, 8))
         attention = [bp.wq, bp.bq, bp.wk, bp.bk, bp.wv, bp.bv, bp.wo, bp.bo]
         return [
-            ("attention", lambda op: op(hidden, hidden, self.MASK, bp, cfg),
-             (self_attention, composed_attention), [hidden] + attention),
+            ("attention", lambda op: op(hidden, hidden, layout, bp, cfg),
+             (self_attention, composed_packed_attention),
+             [hidden] + attention),
             ("pooled attention",
-             lambda op: op(pooled, hidden, self.MASK, bp, cfg),
-             (self_attention, composed_attention),
+             lambda op: op(pooled, hidden, layout, bp, cfg),
+             (self_attention, composed_packed_attention),
              [pooled, hidden] + attention),
             ("feed-forward", lambda op: op(x, bp),
              (feed_forward, composed_feed_forward),

@@ -230,6 +230,19 @@ class TestDropout:
         assert rng.bit_generator.state == full_rng.bit_generator.state
 
 
+    def test_packed_rows_take_their_positions_draws(self):
+        # Rows 0, 1, 4 and 5 of a (2, 3, 4) corner of a (2, 5, 4) draw.
+        full_shape, corner, rows = (2, 5, 4), (2, 3, 4), np.array([0, 1, 4, 5])
+        x = np.random.default_rng(1).standard_normal((4, 4))
+        full_rng = np.random.default_rng(9)
+        draws = full_rng.random(full_shape)[:, :3].reshape(-1, 4)[rows]
+        rng = np.random.default_rng(9)
+        out = dropout(Tensor(x), 0.4, "train", rng, full_shape, corner, rows)
+        keep = (draws >= 0.4).astype(x.dtype)
+        np.testing.assert_array_equal(out.data, x * keep * (1.0 / 0.6))
+        assert rng.bit_generator.state == full_rng.bit_generator.state
+
+
 class TestMaskedSoftmax:
     def test_masked_keys_get_exact_zero(self):
         scores = Tensor(np.random.default_rng(0).standard_normal((2, 3, 4, 5)))

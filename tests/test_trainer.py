@@ -8,7 +8,7 @@ from ufnd import trainer
 from ufnd.autograd import no_grad
 from ufnd.checkpoint import load_checkpoint, save_checkpoint
 from ufnd.classifier import HeadConfig
-from ufnd.encoder import EncoderConfig
+from ufnd.encoder import EncoderConfig, select_blocks
 from ufnd.errors import ArgumentError, ShapeError
 from ufnd.model import Model, desk_config
 from ufnd.numerics import RngStreams, grad_check, nll_loss
@@ -323,6 +323,42 @@ class TestEstimateCost:
         last_block = 2 * L * d * d + 2 * d * d + 2 * L * d + 2 * d * ff
         expected = 3.0 * 2 * (L * d + last_block + (4 * 3 + 3 * 2 + 2 * 2))
         assert estimate_cost(enc, head, L, 2) == pytest.approx(expected)
+
+    def test_all_full_lengths_give_the_fixed_length_value(self):
+        for subset in (tuple(range(1, 13)), (1, 9), (5,)):
+            enc = select_blocks(self.DESK.encoder, subset)
+            fixed = estimate_cost(enc, self.DESK.head, 120, 8)
+            assert estimate_cost(enc, self.DESK.head, 120, 8,
+                                 np.full(8, 120)) == fixed
+
+    def test_falls_as_rows_shorten(self):
+        costs = [estimate_cost(self.DESK.encoder, self.DESK.head, 120, 4,
+                               lengths)
+                 for lengths in ([120] * 4, [120, 60, 60, 60],
+                                 [60, 60, 60, 60], [60, 30, 20, 10])]
+        assert costs == sorted(costs, reverse=True)
+        assert len(set(costs)) == 4
+
+    def test_real_lengths_closed_form(self):
+        enc = EncoderConfig(vocab_size=10, d_model=4, n_heads=2, d_ff=8,
+                            max_seq_len=16, n_blocks_total=2,
+                            block_subset=(1, 2))
+        head = HeadConfig(d_in=4, h1=3, h2=2)
+        d, ff, width, real, batch = 4, 8, 6, 9, 2
+        # per-position work on the 6 + 3 real positions, attention over
+        # the cut width 6
+        full_block = (4 * real * d * d + 2 * batch * width * width * d
+                      + 2 * real * d * ff)
+        last_block = (2 * real * d * d + 2 * batch * d * d
+                      + 2 * batch * width * d + 2 * batch * d * ff)
+        expected = 3.0 * (batch * width * d + full_block + last_block
+                          + batch * (4 * 3 + 3 * 2 + 2 * 2))
+        assert estimate_cost(enc, head, 16, 2, [6, 3]) == expected
+
+    @pytest.mark.parametrize("lengths", [[6], [6, 0], [6, 17]])
+    def test_bad_lengths_rejected(self, lengths):
+        with pytest.raises(ArgumentError):
+            estimate_cost(self.DESK.encoder, self.DESK.head, 16, 2, lengths)
 
     def test_desk_ratio_bracket(self):
         with_prep = estimate_cost(self.DESK.encoder, self.DESK.head, 120, 32)
