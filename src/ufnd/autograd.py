@@ -3,8 +3,8 @@
 Tensors wrap float32 (or float64) numpy arrays and record a backward
 closure per operation.  Calling ``backward()`` on a scalar output walks
 the graph in reverse topological order and accumulates gradients into
-every tensor with ``requires_grad`` set.  Inside ``no_grad()`` no graph
-is recorded.
+every leaf tensor with ``requires_grad`` set.  Inside ``no_grad()`` no
+graph is recorded.
 """
 
 from __future__ import annotations
@@ -96,7 +96,12 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Backpropagate from this (scalar or any-shape) tensor."""
+        """Backpropagate from this (scalar or any-shape) tensor.
+
+        A node made by an op drops its gradient once it has handed it to
+        its inputs, so a backward holds the gradients of the nodes not yet
+        reached, not of the whole graph; leaves keep theirs.
+        """
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -116,51 +121,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(
-            np.asarray(other, dtype=self.data.dtype))
-        out_data = self.data + other.data
-
-        def bwd(g):
-            if self.requires_grad:
-                self.accumulate_grad(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other.accumulate_grad(_unbroadcast(g, other.shape))
-
-        return Tensor(out_data, _parents=(self, other), _backward=bwd)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            out_data = self.data * other.data
-
-            def bwd(g):
-                if self.requires_grad:
-                    self.accumulate_grad(_unbroadcast(g * other.data, self.shape))
-                if other.requires_grad:
-                    other.accumulate_grad(_unbroadcast(g * self.data, other.shape))
-
-            return Tensor(out_data, _parents=(self, other), _backward=bwd)
-        scalar = float(other)
-        out_data = self.data * scalar
-
-        def bwd_scalar(g):
-            if self.requires_grad:
-                self.accumulate_grad(g * scalar)
-
-        return Tensor(out_data, _parents=(self,), _backward=bwd_scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Tensor) else -np.asarray(other))
+                node.grad = None
 
 
 _GRAD_SLOT = Tensor.grad
@@ -219,7 +180,9 @@ class Parameter(Tensor):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading batch dimensions broadcast per numpy."""
+    """Matrix product; leading batch dimensions broadcast per numpy.
+
+    No model path calls it; it stays while bench/spans.py wraps it."""
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
     out_data = a.data @ b.data
@@ -235,57 +198,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a, b), _backward=bwd)
 
 
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    old_shape = x.shape
-    out_data = x.data.reshape(shape)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(old_shape))
-
-    return Tensor(out_data, _parents=(x,), _backward=bwd)
-
-
-def embedding(table: Parameter, ids: np.ndarray) -> Tensor:
-    """Row lookup `table[ids]`; the backward hands `table` the gradient of
-    the looked-up rows only."""
-    if ids.max(initial=0) >= table.shape[0]:
-        raise ShapeError(
-            f"embedding: id {int(ids.max())} out of range for table of "
-            f"{table.shape[0]} rows")
-    out_data = table.data[ids]
-
-    def bwd(g):
-        if table.requires_grad:
-            # Each row sums its positions' gradients in the order a dense
-            # scatter would; only the rows in `ids` are stored.
-            rows, where = np.unique(ids, return_inverse=True)
-            values = np.zeros((rows.size,) + table.shape[1:],
-                              dtype=table.dtype)
-            np.add.at(values, where.reshape(ids.shape), g)
-            table.accumulate_rows(rows, values)
-
-    return Tensor(out_data, _parents=(table,), _backward=bwd)
-
-
-def take_rows(x: Tensor, rows: np.ndarray | None) -> Tensor:
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     """Rows `rows` of `x` seen as [-1, D]: [..., D] -> [len(rows), D].
 
-    With `rows` None it takes every row, as a view.  The backward puts
-    the gradient back at those rows, zeros elsewhere.
+    The backward puts the gradient back at those rows, zeros elsewhere.
     """
     flat = x.data.reshape(-1, x.shape[-1])
-    out_data = flat if rows is None else flat[rows]
 
     def bwd(g):
         if x.requires_grad:
-            grad = g
-            if rows is not None:
-                grad = np.zeros_like(flat)
-                grad[rows] = g
+            grad = np.zeros_like(flat)
+            grad[rows] = g
             x.accumulate_grad(grad.reshape(x.shape))
 
-    return Tensor(out_data, _parents=(x,), _backward=bwd)
+    return Tensor(flat[rows], _parents=(x,), _backward=bwd)
 
 
 def _give(*pairs: tuple[Tensor, np.ndarray]) -> None:

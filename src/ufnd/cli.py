@@ -382,8 +382,7 @@ def cmd_train(args) -> int:
     ds, meta = _load_split(config, manifest, "data", "dataset")
     model_cfg, train_cfg = _configs(settings, meta)
     model = Model(model_cfg, RngStreams(train_cfg.seed))
-    ckpt, report = train(model, ds.train, ds.test, train_cfg,
-                         vocab_hash=ds.train.vocab_hash)
+    ckpt, report = train(model, ds.train, ds.test, train_cfg)
     save_checkpoint(ckpt, manifest.artifact("checkpoint.ufnd"))
     with open(manifest.artifact("train_report.txt"), "w",
               encoding="utf-8") as fh:

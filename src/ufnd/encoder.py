@@ -14,8 +14,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tensor, _affine, _give
-from .errors import ArgumentError, ContractError
-# gelu, layer_norm, masked_softmax and ag.matmul: unused, but bench/spans.py wraps them.
+from .errors import ArgumentError, ContractError, ShapeError
+# gelu, layer_norm and masked_softmax: unused, but bench/spans.py wraps them.
 from .numerics import (_gelu, _layer_norm, _masked_softmax, dropout,  # noqa
                        gelu, layer_norm, masked_softmax, param_maker)
 
@@ -137,13 +137,6 @@ def param_count(config: EncoderConfig) -> int:
     return embeddings + len(config.block_subset) * per_block
 
 
-def embed(ids: np.ndarray, params: EncoderParams) -> Tensor:
-    """Token embedding plus position embedding, per position."""
-    tok = ag.embedding(params.token_embedding, ids)
-    positions = np.arange(ids.shape[1])[None, :]
-    return tok + ag.embedding(params.position_embedding, positions)
-
-
 class Layout:
     """Where a batch's real positions sit in its cut `[B, W]` grid.
 
@@ -176,6 +169,47 @@ class Layout:
         out = np.zeros((self.mask.size, x.shape[-1]), dtype=x.dtype)
         out[self.index] = x
         return out
+
+
+def embed(ids: np.ndarray, layout: Layout, params: EncoderParams) -> Tensor:
+    """Token row plus position row at each of the batch's packed rows
+    (`layout`), as one op: `[B, W]` ids -> `[n, D]`.
+
+    The token table gets the gradient of the looked-up rows only, each
+    summing its positions in row-major order; the position table gets,
+    at each of the first `W` positions, the sum over the batch.  A batch
+    with no PAD adds the position rows by broadcasting and packs as a
+    reshape, so it makes no `[B * W, D]` copy beyond the output.
+    """
+    token, position = params.token_embedding, params.position_embedding
+    batch, width = ids.shape
+    if ids.max(initial=0) >= token.shape[0]:
+        raise ShapeError(f"embed: id {int(ids.max())} out of range for "
+                         f"table of {token.shape[0]} rows")
+    if width > position.shape[0]:
+        raise ShapeError(f"embed: width {width} exceeds {position.shape[0]} "
+                         f"positions")
+    if layout.index is None:
+        kept = ids.reshape(-1)
+        out = token.data[ids]
+        out += position.data[:width]
+        out = out.reshape(kept.size, -1)
+    else:
+        kept = ids.reshape(-1)[layout.index]
+        out = token.data[kept]
+        out += position.data[layout.index % width]
+
+    def bwd(g):
+        if token.requires_grad:
+            rows, where = np.unique(kept, return_inverse=True)
+            values = np.zeros((rows.size, g.shape[-1]), dtype=token.dtype)
+            np.add.at(values, where, g)
+            token.accumulate_rows(rows, values)
+        if position.requires_grad:
+            grid = layout.scatter(g).reshape(batch, width, -1)
+            position.accumulate_rows(np.arange(width), grid.sum(axis=0))
+
+    return Tensor(out, _parents=(token, position), _backward=bwd)
 
 
 def self_attention(queries: Tensor, hidden: Tensor, layout: Layout,
@@ -300,13 +334,13 @@ def encode_sequence(ids: np.ndarray, mask: np.ndarray, params: EncoderParams,
                     rng: np.random.Generator) -> Tensor:
     """Embed, run retained blocks in ascending index order, pool position 0.
 
-    Columns after the batch's last real position are cut first.  Then
-    the real positions are packed once (`Layout`): every block projects,
-    normalises and runs the feed-forward on those rows only, and attends
-    per sample over the cut width.  Masked keys get exactly zero
-    attention weight and only position 0 is pooled, so neither the cut
-    nor the packing changes anything but float rounding, and a batch with
-    no PAD runs unchanged.  For the same reason the last block attends
+    Columns after the batch's last real position are cut first.  The
+    embedding then emits the real positions packed (`Layout`): every
+    block projects, normalises and runs the feed-forward on those rows
+    only, and attends per sample over the cut width.  Masked keys get
+    exactly zero attention weight and only position 0 is pooled, so
+    neither the cut nor the packing changes anything but float rounding,
+    and a batch with no PAD runs unchanged.  For the same reason the last block attends
     from position 0 alone: its other positions would reach neither the
     loss nor the prediction.
     """
@@ -314,7 +348,7 @@ def encode_sequence(ids: np.ndarray, mask: np.ndarray, params: EncoderParams,
     width = int(real_cols[-1]) + 1 if real_cols.size else ids.shape[1]
     ids, mask = ids[:, :width], mask[:, :width]
     layout = Layout(mask)
-    hidden = ag.take_rows(embed(ids, params), layout.index)
+    hidden = embed(ids, layout, params)
     *full_width, last = config.block_subset
     for idx in full_width:
         hidden = encoder_block(hidden, hidden, layout, params.blocks[idx],

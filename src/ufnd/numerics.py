@@ -334,9 +334,15 @@ def _rows_in_use(m: np.ndarray, v: np.ndarray) -> np.ndarray:
                           | np.any(bits(v) != 0, axis=1))
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments of one parameter.
+    """Adam moments of one parameter; the decay rates and `eps` are the
+    module's `ADAM_*` constants.
 
     `rows` are the rows the update runs on while gradients arrive by
     rows: every row that has had a gradient since the state began, or on
@@ -349,17 +355,14 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr: float = 0.003
     rows: np.ndarray | None = field(
         default_factory=lambda: np.empty(0, dtype=np.intp))
 
     @classmethod
-    def for_param(cls, param: Parameter, lr: float = 0.003, **kwargs) -> "AdamState":
+    def for_param(cls, param: Parameter, lr: float = 0.003) -> "AdamState":
         return cls(m=np.zeros_like(param.data), v=np.zeros_like(param.data),
-                   lr=lr, **kwargs)
+                   lr=lr)
 
     def resume(self, m: np.ndarray, v: np.ndarray, t: int) -> None:
         """Continue from saved moments after `t` steps."""
@@ -400,17 +403,17 @@ def _adam_update(state: AdamState, m: np.ndarray, v: np.ndarray,
     # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g;
     # data -= lr * m_hat / (sqrt(v_hat) + eps), with the same operations
     # in the same order, so bitwise equal, but written in place.
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    g2 = (1.0 - state.beta2) * g
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    g2 = (1.0 - ADAM_BETA2) * g
     g2 *= g
-    v *= state.beta2
+    v *= ADAM_BETA2
     v += g2
-    step = m / (1.0 - state.beta1 ** state.t)
+    step = m / (1.0 - ADAM_BETA1 ** state.t)
     step *= state.lr
-    denom = np.divide(v, 1.0 - state.beta2 ** state.t, out=g2)
+    denom = np.divide(v, 1.0 - ADAM_BETA2 ** state.t, out=g2)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     step /= denom
     data -= step.astype(data.dtype, copy=False)
 

@@ -130,18 +130,15 @@ def evaluate(model: Model, ds: EncodedDataset) -> Metrics:
     return compute_metrics(confusion(preds, ds.labels))
 
 
-def _config_snapshot(model: Model, cfg: TrainConfig,
-                     vocab_hash: str = "") -> dict:
-    enc = asdict(model.config.encoder)
-    enc["block_subset"] = list(model.config.encoder.block_subset)
-    return {"encoder": enc, "head": asdict(model.config.head),
-            "train": asdict(cfg), "vocab_hash": vocab_hash,
-            "dtype": np.dtype(model.dtype).str}
-
-
 def make_checkpoint(model: Model, cfg: TrainConfig, adam: dict,
                     best_state: dict, best_epoch: int, best_acc: float,
-                    epoch: int, vocab_hash: str = "") -> Checkpoint:
+                    epoch: int, vocab_hash: str) -> Checkpoint:
+    """The checkpoint of a run trained on data of vocabulary `vocab_hash`."""
+    enc = asdict(model.config.encoder)
+    enc["block_subset"] = list(model.config.encoder.block_subset)
+    config = {"encoder": enc, "head": asdict(model.config.head),
+              "train": asdict(cfg), "vocab_hash": vocab_hash,
+              "dtype": np.dtype(model.dtype).str}
     tensors = {}
     for name, arr in model.state_arrays().items():
         tensors["model/" + name] = arr.copy()
@@ -156,8 +153,7 @@ def make_checkpoint(model: Model, cfg: TrainConfig, adam: dict,
             "rng_state": model.rng.state(),
             "rng_algorithm": RngStreams.ALGORITHM,
             "gelu_variant": GELU_VARIANT}
-    return Checkpoint(config=_config_snapshot(model, cfg, vocab_hash),
-                      tensors=tensors, meta=meta)
+    return Checkpoint(config=config, tensors=tensors, meta=meta)
 
 
 def model_from_checkpoint(ckpt: Checkpoint, which: str = "best"
@@ -200,10 +196,11 @@ def _train_step(model: Model, params: list, adam: dict, cfg: TrainConfig,
 
 
 def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
-          cfg: TrainConfig, resume: Checkpoint | None = None,
-          vocab_hash: str = "") -> tuple[Checkpoint, TrainReport]:
+          cfg: TrainConfig, resume: Checkpoint | None = None
+          ) -> tuple[Checkpoint, TrainReport]:
     """Train, validating each epoch, and return the best-validation
-    checkpoint plus a per-epoch report."""
+    checkpoint plus a per-epoch report.  The checkpoint records
+    `train_ds.vocab_hash`, which `ufnd eval` checks its data against."""
     if len(train_ds) == 0:
         raise ArgumentError("train requires a nonempty training set")
     if len(val_ds) == 0:
@@ -269,7 +266,7 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
     report.total_seconds = time.perf_counter() - run_start
     ckpt = make_checkpoint(model, cfg, adam, best_state, best_epoch,
                            best_acc, len(report.epochs) + start_epoch,
-                           vocab_hash=vocab_hash)
+                           train_ds.vocab_hash)
     return ckpt, report
 
 

@@ -3,7 +3,29 @@ import pytest
 
 from ufnd import autograd as ag
 from ufnd.autograd import Parameter, Tensor
+from ufnd.encoder import EncoderParams, Layout, embed
 from ufnd.errors import ShapeError
+
+
+def mul(x, y):
+    """`x * y` for a constant `y`, as a generic op."""
+    return Tensor(x.data * y, _parents=(x,),
+                  _backward=lambda g: x.accumulate_grad(g * y))
+
+
+def add(x, y):
+    """`x + y` for a constant `y`, as a generic op."""
+    return Tensor(x.data + y, _parents=(x,),
+                  _backward=lambda g: x.accumulate_grad(g))
+
+
+def token_rows(table, ids, mask=None):
+    """`encoder.embed` with `table` as the token table and an all-zero
+    position table, so each packed row is its token's row."""
+    mask = np.ones(ids.shape, dtype=np.float32) if mask is None else mask
+    positions = Parameter(np.zeros((ids.shape[1], table.shape[1]),
+                                   dtype=table.dtype), "positions")
+    return embed(ids, Layout(mask), EncoderParams(table, positions))
 
 
 def brute_matmul(a, b):
@@ -52,40 +74,12 @@ class TestMatmul:
         assert b.grad.shape == b.data.shape
 
 
-class TestElementwise:
-    def test_add_broadcast_gradients(self):
-        x = Parameter(np.zeros((3, 4), dtype=np.float32), "x")
-        bias = Parameter(np.zeros(4, dtype=np.float32), "bias")
-        (x + bias).backward()
-        np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
-        np.testing.assert_array_equal(bias.grad, 3 * np.ones(4))
-
-    def test_mul_gradients(self):
-        x = Parameter(np.array([2.0, 3.0], dtype=np.float32), "x")
-        y = Parameter(np.array([5.0, 7.0], dtype=np.float32), "y")
-        (x * y).backward()
-        np.testing.assert_array_equal(x.grad, y.data)
-        np.testing.assert_array_equal(y.grad, x.data)
-
-    def test_scalar_mul_and_neg(self):
-        x = Parameter(np.array([1.0, -2.0], dtype=np.float32), "x")
-        (-(x * 3.0)).backward()
-        np.testing.assert_array_equal(x.grad, [-3.0, -3.0])
-
-
 class TestStructural:
-    def test_reshape_roundtrip_gradient(self):
-        x = Parameter(np.arange(24, dtype=np.float32).reshape(2, 3, 4), "x")
-        weights = np.arange(24, dtype=np.float32).reshape(12, 2)
-        out = ag.reshape(ag.reshape(x, (2, 12)), (12, 2)) * Tensor(weights)
-        out.backward()
-        np.testing.assert_array_equal(x.grad, weights.reshape(2, 3, 4))
-
     def test_embedding_lookup_and_scatter(self):
         table = Parameter(np.arange(12, dtype=np.float32).reshape(4, 3), "e")
         ids = np.array([[0, 2, 2]])
-        out = ag.embedding(table, ids)
-        np.testing.assert_array_equal(out.data[0, 1], table.data[2])
+        out = token_rows(table, ids)
+        np.testing.assert_array_equal(out.data[1], table.data[2])
         out.backward()
         np.testing.assert_array_equal(table.grad[2], [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(table.grad[1], [0.0, 0.0, 0.0])
@@ -93,31 +87,36 @@ class TestStructural:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_embedding_row_gradient_is_the_dense_scatter(self, dtype):
         rng = np.random.default_rng(4)
-        table = Parameter(rng.standard_normal((30, 5)).astype(dtype), "e")
         ids = rng.integers(1, 12, size=(4, 9))
         ids[:, 0] = 2
-        ids[1:, 6:] = 0  # trailing PAD, id 0
-        g = rng.standard_normal(ids.shape + (5,)).astype(dtype)
-        (ag.embedding(table, ids) * Tensor(g)).backward()
-        rows, values = table.row_grad()
-        np.testing.assert_array_equal(rows, np.unique(ids))
-        dense = np.zeros_like(table.data)
-        np.add.at(dense, ids, g)
-        assert values.dtype == dtype
-        np.testing.assert_array_equal(values, dense[rows])
-        np.testing.assert_array_equal(table.grad, dense)  # read densely
-        assert table.row_grad()[0] is None
+        for pad in (False, True):
+            table = Parameter(rng.standard_normal((30, 5)).astype(dtype), "e")
+            mask = np.ones(ids.shape, dtype=np.float32)
+            if pad:
+                ids[1:, 6:] = mask[1:, 6:] = 0  # trailing PAD, id 0
+            kept = ids[mask > 0]
+            g = rng.standard_normal((kept.size, 5)).astype(dtype)
+            mul(token_rows(table, ids, mask), g).backward()
+            rows, values = table.row_grad()
+            np.testing.assert_array_equal(rows, np.unique(kept))
+            assert 0 not in rows  # PAD positions look up no row
+            dense = np.zeros_like(table.data)
+            np.add.at(dense, kept, g)
+            assert values.dtype == dtype
+            np.testing.assert_array_equal(values, dense[rows])
+            np.testing.assert_array_equal(table.grad, dense)  # read densely
+            assert table.row_grad()[0] is None
 
     def test_embedding_rows_add_to_an_earlier_gradient(self):
         table = Parameter(np.zeros((5, 2)), "e")
         table.grad = np.ones((5, 2))
-        ag.embedding(table, np.array([[3, 3, 1]])).backward()
+        token_rows(table, np.array([[3, 3, 1]])).backward()
         np.testing.assert_array_equal(table.grad[:, 0], [1, 2, 1, 3, 1])
 
     def test_embedding_out_of_range(self):
         table = Parameter(np.zeros((4, 3), dtype=np.float32), "e")
         with pytest.raises(ShapeError):
-            ag.embedding(table, np.array([[5]]))
+            token_rows(table, np.array([[5]]))
 
     def test_take_rows(self):
         x = Parameter(np.arange(24, dtype=np.float32).reshape(2, 3, 4), "x")
@@ -127,14 +126,6 @@ class TestStructural:
         out.backward()
         assert x.grad[:, 0, :].sum() == 8.0
         assert x.grad[:, 1:, :].sum() == 0.0
-
-    def test_take_rows_none_is_a_view(self):
-        x = Parameter(np.arange(24, dtype=np.float32).reshape(2, 3, 4), "x")
-        out = ag.take_rows(x, None)
-        assert out.shape == (6, 4)
-        assert np.shares_memory(out.data, x.data)
-        out.backward()
-        np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
 
     def test_linear_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -162,12 +153,23 @@ class TestNoGrad:
         b = Parameter(np.zeros(3, dtype=np.float32), "b")
         with ag.no_grad():
             fresh = Parameter(np.zeros(2, dtype=np.float32), "fresh")
-            out = ag.linear(x, w, b) * 2.0 + 1.0
+            out = add(mul(ag.linear(x, w, b), 2.0), 1.0)
         assert fresh.requires_grad
         assert out._parents == () and out._backward is None
         assert not out.requires_grad
         recorded = ag.linear(x, w, b)
         assert recorded.requires_grad and len(recorded._parents) == 3
+
+    def test_backward_leaves_gradients_on_leaves_only(self):
+        x = Parameter(np.ones((4, 2), dtype=np.float32), "x")
+        w = Parameter(np.ones((3, 2), dtype=np.float32), "w")
+        b = Parameter(np.zeros(3, dtype=np.float32), "b")
+        hidden = ag.linear(x, w, b)
+        out = mul(hidden, 2.0)
+        out.backward()
+        assert hidden.grad is None and out.grad is None
+        np.testing.assert_array_equal(x.grad, np.full((4, 2), 6.0))
+        np.testing.assert_array_equal(b.grad, np.full(3, 8.0))
 
     def test_recording_resumes_after_an_exception(self):
         with pytest.raises(ShapeError):

@@ -527,26 +527,34 @@ class TestTrainEvalCommands:
                      "--data", str(prep_out / "ds1.test.npz")]) == 1
 
 
+def write_unify_config(tmp_path, config_text, prep_out, baseline, keys):
+    """A unify config over the ds1/ds2 split in `prep_out`, with both
+    baselines at `baseline` and the extra `keys` lines."""
+    baselines = tmp_path / "baselines.tsv"
+    baselines.write_text(f"ds1\t{baseline}\tsynthetic floor\n"
+                         f"ds2\t{baseline}\tsynthetic floor\n")
+    unify_cfg = tmp_path / "unify.cfg"
+    unify_cfg.write_text(
+        config_text
+        + f"dataset1.train = {prep_out / 'ds1.train.npz'}\n"
+        + f"dataset1.test = {prep_out / 'ds1.test.npz'}\n"
+        + "dataset1.name = ds1\n"
+        + f"dataset2.train = {prep_out / 'ds2.train.npz'}\n"
+        + f"dataset2.test = {prep_out / 'ds2.test.npz'}\n"
+        + "dataset2.name = ds2\n"
+        + f"combined.train = {prep_out / 'combined.train.npz'}\n"
+        + f"combined.test = {prep_out / 'combined.test.npz'}\n"
+        + f"baselines = {baselines}\n"
+        + keys)
+    return unify_cfg
+
+
 class TestUnifyCommand:
     def test_end_to_end(self, tmp_path, capsys):
         config, prep_out = run_prep(tmp_path)
-        baselines = tmp_path / "baselines.tsv"
-        baselines.write_text("ds1\t0.55\tsynthetic floor\n"
-                             "ds2\t0.55\tsynthetic floor\n")
-        unify_cfg = tmp_path / "unify.cfg"
-        unify_cfg.write_text(
-            config.read_text()
-            + f"dataset1.train = {prep_out / 'ds1.train.npz'}\n"
-            + f"dataset1.test = {prep_out / 'ds1.test.npz'}\n"
-            + "dataset1.name = ds1\n"
-            + f"dataset2.train = {prep_out / 'ds2.train.npz'}\n"
-            + f"dataset2.test = {prep_out / 'ds2.test.npz'}\n"
-            + "dataset2.name = ds2\n"
-            + f"combined.train = {prep_out / 'combined.train.npz'}\n"
-            + f"combined.test = {prep_out / 'combined.test.npz'}\n"
-            + f"baselines = {baselines}\n"
-            + "unify.batch_sizes = 16,32\n"
-            + "unify.threshold = 0.45\n")
+        unify_cfg = write_unify_config(
+            tmp_path, config.read_text(), prep_out, 0.55,
+            "unify.batch_sizes = 16,32\nunify.threshold = 0.45\n")
         out = tmp_path / "unify_out"
         assert main(["unify", "--config", str(unify_cfg),
                      "--out", str(out)]) == 0
@@ -561,6 +569,37 @@ class TestUnifyCommand:
         assert (out / "phase_one.txt").read_text().startswith(
             "accepted\ttrue")
         load_checkpoint(out / "unified_checkpoint.ufnd")
+
+    def test_eval_refuses_data_of_another_vocabulary(self, tmp_path,
+                                                     capsys):
+        """The unified checkpoint records the vocabulary it was trained
+        on, so `eval` refuses a file encoded with another one, even one of
+        the same size and tokens."""
+        config, prep_out = run_prep(tmp_path)
+        unify_cfg = write_unify_config(
+            tmp_path, config.read_text(), prep_out, 0.5,
+            "unify.batch_sizes = 16\nunify.threshold = 0.5\n")
+        out = tmp_path / "unify_out"
+        assert main(["unify", "--config", str(unify_cfg),
+                     "--out", str(out)]) == 0
+        checkpoint = out / "unified_checkpoint.ufnd"
+        _, meta = load_encoded(prep_out / "combined.test.npz")
+        assert load_checkpoint(checkpoint).config["vocab_hash"] == \
+            meta["vocab_hash"]
+
+        other = tmp_path / "other_prep"
+        config.write_text(config.read_text().replace(
+            "vocab.max_size = 200", "vocab.max_size = 300"))
+        assert main(["prep", "--config", str(config),
+                     "--out", str(other)]) == 0
+        _, other_meta = load_encoded(other / "combined.test.npz")
+        assert other_meta["vocab_size"] == meta["vocab_size"]
+        assert other_meta["vocab_hash"] != meta["vocab_hash"]
+        capsys.readouterr()
+        assert main(["eval", "--out", str(tmp_path / "e"),
+                     "--checkpoint", str(checkpoint),
+                     "--data", str(other / "combined.test.npz")]) == 1
+        assert "vocab hash" in capsys.readouterr().err
 
     def test_noprep_split_with_its_own_vocabulary(self, tmp_path):
         """The no-prep files keep 1-2 letter words, so their vocabulary is
@@ -615,23 +654,11 @@ class TestUnifyCommand:
 
     def test_infeasible_exits_zero_with_report(self, tmp_path):
         config, prep_out = run_prep(tmp_path)
-        baselines = tmp_path / "baselines.tsv"
-        baselines.write_text("ds1\t1.0\tunreachable\nds2\t1.0\tunreachable\n")
-        unify_cfg = tmp_path / "unify.cfg"
-        unify_cfg.write_text(
-            config.read_text().replace("train.epochs = 2",
-                                       "train.epochs = 1")
-            + f"dataset1.train = {prep_out / 'ds1.train.npz'}\n"
-            + f"dataset1.test = {prep_out / 'ds1.test.npz'}\n"
-            + "dataset1.name = ds1\n"
-            + f"dataset2.train = {prep_out / 'ds2.train.npz'}\n"
-            + f"dataset2.test = {prep_out / 'ds2.test.npz'}\n"
-            + "dataset2.name = ds2\n"
-            + f"combined.train = {prep_out / 'combined.train.npz'}\n"
-            + f"combined.test = {prep_out / 'combined.test.npz'}\n"
-            + f"baselines = {baselines}\n"
-            + "unify.batch_sizes = 16\n"
-            + "unify.threshold = 0.0001\n")
+        unify_cfg = write_unify_config(
+            tmp_path, config.read_text().replace("train.epochs = 2",
+                                                 "train.epochs = 1"),
+            prep_out, 1.0,
+            "unify.batch_sizes = 16\nunify.threshold = 0.0001\n")
         out = tmp_path / "unify_out"
         assert main(["unify", "--config", str(unify_cfg),
                      "--out", str(out)]) == 0

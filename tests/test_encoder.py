@@ -9,7 +9,7 @@ from conftest import small_batch, small_model
 from ufnd import autograd as ag
 from ufnd import encoder as encoder_module
 from ufnd import model as model_module
-from ufnd.autograd import Parameter, Tensor
+from ufnd.autograd import Parameter, Tensor, _give
 from ufnd.encoder import (EncoderConfig, Layout, add_norm, embed,
                           encode_sequence, encoder_block, feed_forward,
                           init_encoder_params, param_count, select_blocks,
@@ -207,7 +207,7 @@ class TestLengthCut:
                               np.random.default_rng(0)).data
         rng = np.random.default_rng(0)
         layout = Layout(mask)
-        hidden = ag.take_rows(embed(ids, params), layout.index)
+        hidden = embed(ids, layout, params)
         for idx in cfg.block_subset[:-1]:
             hidden = encoder_block(hidden, hidden, layout, params.blocks[idx],
                                    cfg, mode, rng)
@@ -222,7 +222,7 @@ def full_width_encode(ids, mask, params, config, mode, rng):
     width = int(np.flatnonzero(np.any(mask, axis=0))[-1]) + 1
     ids, mask = ids[:, :width], mask[:, :width]
     layout = Layout(mask)
-    hidden = ag.take_rows(embed(ids, params), layout.index)
+    hidden = embed(ids, layout, params)
     for idx in config.block_subset:
         hidden = encoder_block(hidden, hidden, layout, params.blocks[idx],
                                config, mode, rng)
@@ -375,6 +375,25 @@ def transpose(x, axes):
                   _backward=lambda g: x.accumulate_grad(np.transpose(g, inv)))
 
 
+def reshape(x, shape):
+    """A generic reshape op, for the reference compositions."""
+    return Tensor(x.data.reshape(shape), _parents=(x,),
+                  _backward=lambda g: x.accumulate_grad(g.reshape(x.shape)))
+
+
+def mul(x, factor):
+    """A generic multiply-by-a-constant op, for the reference composition."""
+    return Tensor(x.data * factor, _parents=(x,),
+                  _backward=lambda g: x.accumulate_grad(g * factor))
+
+
+def add(x, y):
+    """A generic add op of two same-shape tensors, for the reference
+    composition."""
+    return Tensor(x.data + y.data, _parents=(x, y),
+                  _backward=lambda g: _give((x, g), (y, g)))
+
+
 def composed_attention(queries, hidden, mask, bp, config):
     """The attention body as generic ops, as it was before `self_attention`
     became one op."""
@@ -383,16 +402,16 @@ def composed_attention(queries, hidden, mask, bp, config):
     dh = d // heads
 
     def split_heads(x):
-        return transpose(ag.reshape(x, (batch, x.shape[1], heads, dh)),
+        return transpose(reshape(x, (batch, x.shape[1], heads, dh)),
                          (0, 2, 1, 3))
 
     q = split_heads(ag.linear(queries, bp.wq, bp.bq))
     k = split_heads(ag.linear(hidden, bp.wk, bp.bk))
     v = split_heads(ag.linear(hidden, bp.wv, bp.bv))
-    scores = ag.matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    scores = mul(ag.matmul(q, transpose(k, (0, 1, 3, 2))),
+                 1.0 / math.sqrt(dh))
     context = ag.matmul(masked_softmax(scores, mask), v)
-    merged = ag.reshape(transpose(context, (0, 2, 1, 3)),
-                        (batch, n_queries, d))
+    merged = reshape(transpose(context, (0, 2, 1, 3)), (batch, n_queries, d))
     return ag.linear(merged, bp.wo, bp.bo)
 
 
@@ -412,9 +431,9 @@ def composed_packed_attention(queries, hidden, layout, bp, config):
     if queries is hidden:
         out = composed_attention(grid, grid, layout.mask, bp, config)
         return ag.take_rows(out, layout.index)
-    pooled = ag.reshape(queries, (queries.shape[0], 1, queries.shape[1]))
-    return ag.take_rows(composed_attention(pooled, grid, layout.mask, bp,
-                                           config), None)
+    pooled = reshape(queries, (queries.shape[0], 1, queries.shape[1]))
+    return reshape(composed_attention(pooled, grid, layout.mask, bp, config),
+                   queries.shape)
 
 
 def composed_feed_forward(x, bp):
@@ -422,16 +441,16 @@ def composed_feed_forward(x, bp):
 
 
 def composed_add_norm(x, y, gain, bias, eps):
-    return layer_norm(x + y, gain, bias, eps)
+    return layer_norm(add(x, y), gain, bias, eps)
 
 
 def probe(out):
     """A scalar that weighs every entry of `out` differently."""
     size = out.data.size
     weights = np.random.default_rng(1).standard_normal((1, size))
-    flat = ag.linear(ag.reshape(out, (1, size)), Tensor(weights),
+    flat = ag.linear(reshape(out, (1, size)), Tensor(weights),
                      Tensor(np.zeros(1)))
-    return ag.reshape(flat, ())
+    return reshape(flat, ())
 
 
 class TestSubLayerOps:

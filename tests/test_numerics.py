@@ -9,7 +9,8 @@ import pytest
 
 from ufnd.autograd import Parameter, Tensor
 from ufnd.errors import ArgumentError, NonFiniteError
-from ufnd.numerics import (AdamState, RngStreams, adam_step, assert_all_finite,
+from ufnd.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
+                           RngStreams, adam_step, assert_all_finite,
                            clip_global_norm, dropout, gelu, grad_check,
                            layer_norm, log_softmax, masked_softmax, nll_loss,
                            relu, xavier_init)
@@ -449,7 +450,7 @@ class TestAdam:
         state = AdamState.for_param(p, lr=0.003)
         data, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(
             p.data)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.lr
         for t in range(1, 13):
             g = (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 2)
                  ).astype(dtype)

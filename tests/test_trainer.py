@@ -5,13 +5,13 @@ import pytest
 
 from conftest import small_batch, small_model, toy_model_config
 from ufnd import trainer
-from ufnd.autograd import no_grad
+from ufnd.autograd import Tensor, no_grad
 from ufnd.checkpoint import load_checkpoint, save_checkpoint
 from ufnd.classifier import HeadConfig
 from ufnd.encoder import EncoderConfig, select_blocks
 from ufnd.errors import ArgumentError, ShapeError
 from ufnd.model import Model, desk_config
-from ufnd.numerics import RngStreams, grad_check, nll_loss
+from ufnd.numerics import AdamState, RngStreams, grad_check, nll_loss
 from ufnd.textprep import CLS_ID, EncodedDataset
 from ufnd.trainer import (TrainConfig, batch_iterator, estimate_cost,
                           evaluate, model_from_checkpoint, predict_dataset,
@@ -365,6 +365,38 @@ class TestEstimateCost:
         without = estimate_cost(self.DESK.encoder, self.DESK.head, 200, 32)
         ratio = without / with_prep
         assert 1.5 <= ratio <= 2.8
+
+
+class TestStepGraph:
+    @pytest.mark.parametrize("subset, tensors",
+                             [(tuple(range(1, 13)), 85), ((1, 9), 25)])
+    def test_desk_train_step_makes_a_fixed_number_of_tensors(
+            self, subset, tensors, monkeypatch):
+        """Every tensor made from `zero_grad` to the last Adam update,
+        counted as the benchmark's tracer counts them: 6 per block
+        (attention, dropout, add-norm, feed-forward, dropout, add-norm),
+        2 for the packed embedding and the pooled rows, and 11 for the
+        head and the loss."""
+        ids, mask, labels = small_batch()
+        model = Model(desk_config(vocab_size=50, max_seq_len=8,
+                                  block_subset=subset), RngStreams(3))
+        ds = EncodedDataset(ids=ids, mask=mask, labels=labels,
+                            true_lengths=mask.sum(axis=1).astype(np.int64),
+                            vocab_hash="", max_seq_len=8)
+        params = model.parameters()
+        adam = {p.name: AdamState.for_param(p) for p in params}
+        count = 0
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            nonlocal count
+            count += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        trainer._train_step(model, params, adam, small_train_cfg(), ds,
+                            np.arange(len(ds)))
+        assert count == tensors
 
 
 class TestGraphFreeInference:
