@@ -9,6 +9,7 @@ graph is recorded.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -26,25 +27,28 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-_recording = True
+class _Recording(threading.local):
+    on = True
+
+
+_recording = _Recording()
 
 
 @contextmanager
 def no_grad():
-    """Record no graph inside the block.
+    """Record no graph inside the block, in the calling thread only.
 
     Tensors made here keep neither parents nor backward closure, so each
     op's intermediate arrays are freed as soon as the forward moves on,
     and ``requires_grad`` is set only by an explicit argument.  Recording
     resumes when the block exits, by an exception too.
     """
-    global _recording
-    previous = _recording
-    _recording = False
+    previous = _recording.on
+    _recording.on = False
     try:
         yield
     finally:
-        _recording = previous
+        _recording.on = previous
 
 
 class Tensor:
@@ -56,7 +60,7 @@ class Tensor:
         else:
             self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
-        if not _recording:
+        if not _recording.on:
             _parents, _backward = (), None
         self.requires_grad = bool(requires_grad) or any(
             p.requires_grad for p in _parents

@@ -246,13 +246,15 @@ def self_attention(queries: Tensor, hidden: Tensor, layout: Layout,
     k, k_grads = _affine(hidden.data, bp.wk, bp.bk)
     v, v_grads = _affine(hidden.data, bp.wv, bp.bv)
     q, k, v = split(grid(q)), split(layout.scatter(k)), split(layout.scatter(v))
-    probs, scores_grad = _masked_softmax(q @ k.swapaxes(2, 3) * scale,
-                                         layout.mask)
+    scores = q @ k.swapaxes(2, 3)
+    scores *= scale
+    probs, scores_grad = _masked_softmax(scores, layout.mask)
     out_data, out_grads = _affine(rows(merge(probs @ v)), bp.wo, bp.bo)
 
     def bwd(g):
         g_context = split(grid(out_grads(g)))
-        g_scores = scores_grad(g_context @ v.swapaxes(2, 3)) * scale
+        g_scores = scores_grad(g_context @ v.swapaxes(2, 3))
+        g_scores *= scale
         g_k = layout.gather(merge(g_scores.swapaxes(2, 3) @ q))
         g_v = layout.gather(merge(probs.swapaxes(2, 3) @ g_context))
         g_hidden = k_grads(g_k) + v_grads(g_v)

@@ -76,11 +76,16 @@ def gelu(x: Tensor) -> Tensor:
 
 def _gelu(x: np.ndarray):
     """`gelu` on arrays; `slope()` is d/dx x * Phi(x)."""
-    # 0.5 * (1 + erf(x / sqrt 2)), built in one buffer.
-    cdf = x / math.sqrt(2.0)
-    _erf(cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    # cdf = 0.5 * (1 + erf(x / sqrt 2)) and out = x * cdf, built 64K
+    # values at a time so each slice is still in cache for the next pass.
+    cdf = np.empty(x.shape, x.dtype)
+    out = np.empty(x.shape, x.dtype)
+    for xs, cs, os_ in zip(*map(_slices, (x, cdf, out))):
+        np.divide(xs, math.sqrt(2.0), out=cs)
+        _erf(cs)
+        cs += 1.0
+        cs *= 0.5
+        np.multiply(xs, cs, out=os_)
 
     def slope():
         # cdf + x * exp(-x^2 / 2) / sqrt(2 pi), built in one buffer.
@@ -92,7 +97,13 @@ def _gelu(x: np.ndarray):
         p += cdf
         return p
 
-    return (x * cdf).astype(x.dtype, copy=False), slope
+    return out, slope
+
+
+def _slices(a: np.ndarray) -> list[np.ndarray]:
+    """`a` flattened, in consecutive slices of 64K values; views of `a`
+    when it is C-contiguous."""
+    return np.split(a.reshape(-1), range(1 << 16, a.size, 1 << 16))
 
 
 # Eigen's `generic_fast_erf_float` (also XLA's float32 erf): an odd
@@ -108,24 +119,22 @@ _ERF_DEN = np.array([-1.45660718464996e-05, -2.13374055278905e-04,
 
 
 def _erf(x: np.ndarray) -> None:
-    """erf(x) in place (`x` C-contiguous): the rational fit in float32,
-    `math.erf` in any other dtype.  NaN stays NaN."""
+    """erf(x) in place: the rational fit in float32, `math.erf` in any
+    other dtype.  NaN stays NaN."""
     if x.dtype != np.float32:
         x[...] = np.frompyfunc(math.erf, 1, 1)(x)
         return
-    # 64K values at a time, so the temporaries stay in cache.
-    for v in np.split(x.reshape(-1), range(1 << 16, x.size, 1 << 16)):
-        np.clip(v, -4.0, 4.0, out=v)
-        v2 = v * v
-        num, den = np.full_like(v, _ERF_NUM[0]), np.full_like(v, _ERF_DEN[0])
-        for acc, coeffs in ((num, _ERF_NUM), (den, _ERF_DEN)):
-            for c in coeffs[1:]:
-                acc *= v2
-                acc += c
-        num *= v
-        np.divide(num, den, out=v)
-        # The fit overshoots +-1 by an ulp near the clamp.
-        np.clip(v, -1.0, 1.0, out=v)
+    np.clip(x, -4.0, 4.0, out=x)
+    x2 = x * x
+    num, den = np.full_like(x, _ERF_NUM[0]), np.full_like(x, _ERF_DEN[0])
+    for acc, coeffs in ((num, _ERF_NUM), (den, _ERF_DEN)):
+        for c in coeffs[1:]:
+            acc *= x2
+            acc += c
+    num *= x
+    np.divide(num, den, out=x)
+    # The fit overshoots +-1 by an ulp near the clamp.
+    np.clip(x, -1.0, 1.0, out=x)
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -150,19 +159,21 @@ def masked_softmax(scores: Tensor, key_mask: np.ndarray) -> Tensor:
     """
     if np.any(key_mask.sum(axis=-1) < 1):
         raise ContractError("masked_softmax: a sample has no unmasked key")
-    probs, scores_grad = _masked_softmax(scores.data, key_mask)
+    probs, scores_grad = _masked_softmax(scores.data.copy(), key_mask)
     return Tensor(probs, _parents=(scores,),
                   _backward=lambda g: _give((scores, scores_grad(g))))
 
 
 def _masked_softmax(scores: np.ndarray, key_mask: np.ndarray):
-    """`masked_softmax` on arrays; `scores_grad(g)` maps the gradient of
-    the probabilities to the scores'."""
+    """`masked_softmax` on arrays, computed in `scores` itself, which
+    becomes the probabilities; `scores_grad(g)` maps the gradient of the
+    probabilities to the scores'."""
     expanded = key_mask.reshape(
         key_mask.shape[0], *([1] * (scores.ndim - 2)), key_mask.shape[1])
-    neg_inf = np.array(-np.inf, dtype=scores.dtype)
-    # Shift, exponentiate and normalise in the one buffer `where` made.
-    probs = np.where(expanded > 0, scores, neg_inf)
+    pad = ~(expanded > 0)
+    if pad.any():
+        np.copyto(scores, np.array(-np.inf, dtype=scores.dtype), where=pad)
+    probs = scores
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,31 @@ class TestNoGrad:
         assert hidden.grad is None and out.grad is None
         np.testing.assert_array_equal(x.grad, np.full((4, 2), 6.0))
         np.testing.assert_array_equal(b.grad, np.full(3, 8.0))
+
+    def test_no_grad_holds_in_its_own_thread_only(self):
+        w = Parameter(np.ones((2, 2), dtype=np.float32), "w")
+        x = Tensor(np.ones((1, 2), dtype=np.float32))
+        inside, leave = threading.Event(), threading.Event()
+
+        def other():
+            with ag.no_grad():
+                inside.set()
+                leave.wait(10)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            assert inside.wait(10)
+            assert ag.matmul(x, w)._parents  # still recording here
+            with ag.no_grad():
+                leave.set()
+                thread.join(10)
+                # the other thread's exit turns nothing back on here
+                assert ag.matmul(x, w)._parents == ()
+        finally:
+            leave.set()
+            thread.join(10)
+        assert ag.matmul(x, w)._parents
 
     def test_recording_resumes_after_an_exception(self):
         with pytest.raises(ShapeError):

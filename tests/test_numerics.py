@@ -14,7 +14,7 @@ from ufnd.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                            clip_global_norm, dropout, gelu, grad_check,
                            layer_norm, log_softmax, masked_softmax, nll_loss,
                            relu, xavier_init)
-from ufnd.numerics import _erf, _gelu
+from ufnd.numerics import _erf, _gelu, _masked_softmax
 
 EPS32 = float(np.finfo(np.float32).eps)
 
@@ -136,6 +136,22 @@ class TestGelu:
         got = slope()
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, cdf + x * pdf)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, (1 << 16) + 3, 200_001])
+    def test_sliced_gelu_is_bitwise_the_whole_array_formula(self, dtype,
+                                                            size):
+        x = (np.random.default_rng(size).standard_normal(size) * 3
+             ).astype(dtype)
+        out, slope = _gelu(x)
+        cdf = x / math.sqrt(2.0)
+        _erf(cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, x * cdf)
+        pdf = np.exp(-0.5 * x ** 2) / math.sqrt(2.0 * math.pi)
+        np.testing.assert_array_equal(slope(), cdf + x * pdf)
 
 
 def test_import_does_not_load_scipy():
@@ -270,6 +286,20 @@ class TestMaskedSoftmax:
             out.data, exps / exps.sum(axis=-1, keepdims=True))
         out.backward()
         assert scores.grad.dtype == dtype
+
+    @pytest.mark.parametrize("pad", [True, False])
+    def test_in_buffer_kernel_matches_the_where_formula(self, pad):
+        rng = np.random.default_rng(7)
+        scores = (rng.standard_normal((3, 2, 5, 5)) * 10).astype(np.float32)
+        mask = np.ones((3, 5), dtype=np.float32)
+        if pad:
+            mask[0, 3:] = mask[1, 1:] = 0.0
+        masked = np.where(mask[:, None, None, :] > 0, scores,
+                          np.float32(-np.inf))
+        exps = np.exp(masked - masked.max(axis=-1, keepdims=True))
+        probs, _ = _masked_softmax(scores.copy(), mask)
+        np.testing.assert_array_equal(
+            probs, exps / exps.sum(axis=-1, keepdims=True))
 
 
 class TestXavierInit:

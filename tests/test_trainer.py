@@ -1,3 +1,5 @@
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -434,3 +436,77 @@ class TestGraphFreeInference:
             lambda: nll_loss(model.forward(ids, mask, "eval"), labels),
             model.parameters(), eps=1e-5, abs_floor=1e-10, n_samples=40)
         assert res.max_rel_error < 1e-4, res.worst_param
+
+
+class TestBlockedPrediction:
+    """`predict_dataset` scores fixed blocks of rows, here 3 rows each, on
+    one thread per CPU of the (patched) affinity mask."""
+
+    ROWS = 3
+
+    def model_and_data(self, monkeypatch, toy_split, cpus):
+        split_data, vocab = toy_split
+        ds = split_data.test
+        monkeypatch.setattr(trainer, "BLOCK_POSITIONS",
+                            self.ROWS * ds.max_seq_len)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        return ds, Model(toy_model_config(len(vocab)), RngStreams(5))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_blocks_match_a_serial_loop_on_any_cpu_count(
+            self, monkeypatch, toy_split, cpus):
+        ds, model = self.model_and_data(monkeypatch, toy_split, cpus)
+        starts = range(0, len(ds), self.ROWS)
+        assert len(starts) == 8
+        with no_grad():
+            serial = [model.forward(ds.ids[s:s + self.ROWS],
+                                    ds.mask[s:s + self.ROWS], "eval").data
+                      for s in starts]
+        calls = []
+        forward = model.forward
+
+        def recorded(ids, mask, mode):
+            out = forward(ids, mask, mode)
+            calls.append((ids.tobytes(), out.data,
+                          threading.current_thread().name))
+            return out
+
+        monkeypatch.setattr(model, "forward", recorded)
+        preds = predict_dataset(model, ds)
+        assert len(calls) == len(starts)
+        assert len({name for _, _, name in calls}) == min(cpus, len(starts))
+        by_block = {ids: data for ids, data, _ in calls}
+        for s, want in zip(starts, serial):
+            np.testing.assert_array_equal(
+                by_block[ds.ids[s:s + self.ROWS].tobytes()], want)
+        np.testing.assert_array_equal(
+            preds, np.argmax(np.concatenate(serial), axis=1))
+
+    def test_first_error_in_block_order_reaches_the_caller(self, monkeypatch,
+                                                           toy_split):
+        ds, model = self.model_and_data(monkeypatch, toy_split, 4)
+        bad_ids = ds.ids.copy()
+        bad_ids[-1, 1] = 20_000  # the last block, on a worker thread
+        with pytest.raises(ShapeError, match="20000"):
+            predict_dataset(model, replace(ds, ids=bad_ids))
+        bad_ids[self.ROWS, 1] = 10_000  # block 1
+        with pytest.raises(ShapeError, match="10000"):
+            predict_dataset(model, replace(ds, ids=bad_ids))
+        assert model.forward(ds.ids[:2], ds.mask[:2], "eval")._parents
+
+    def test_one_block_starts_no_thread(self, monkeypatch, toy_split):
+        ds, model = self.model_and_data(monkeypatch, toy_split, 4)
+        one_block = replace(ds, ids=ds.ids[:self.ROWS],
+                            mask=ds.mask[:self.ROWS],
+                            labels=ds.labels[:self.ROWS],
+                            true_lengths=ds.true_lengths[:self.ROWS])
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        with no_grad():
+            want = model.forward(one_block.ids, one_block.mask, "eval")
+        np.testing.assert_array_equal(predict_dataset(model, one_block),
+                                      np.argmax(want.data, axis=1))
