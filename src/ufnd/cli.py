@@ -24,7 +24,7 @@ import numpy as np
 
 from .classifier import HeadConfig
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import ColumnMap, combine, load_dataset, split
+from .corpus import ColumnMap, combine, load_dataset, split_indices
 from .encoder import EncoderConfig, select_blocks
 from .errors import (ArgumentError, DataError, IncompatibilityError,
                      SchemaError, UfndError)
@@ -32,7 +32,8 @@ from .metrics import POSITIVE_CLASS_NOTE, compute_metrics, confusion
 from .model import Model, ModelConfig, desk_config
 from .numerics import RngStreams
 from .textprep import (CLS_ID, EncodedDataset, PrepConfig, build_vocab,
-                       encode_corpus, save_vocab, seq_length_stats)
+                       encode_corpus, save_vocab, seq_length_stats,
+                       tokenize_corpus)
 from .trainer import (TrainConfig, model_from_checkpoint, predict_dataset,
                       train)
 # `phase_two` is unused here; bench/spans.py traces it through this
@@ -61,6 +62,14 @@ def _ints(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in raw.split(",") if v != "")
 
 
+def _label_pairs(raw: str) -> dict[str, int]:
+    mapping = {label: int(value) for label, value in
+               (pair.split(":") for pair in raw.split(","))}
+    if not set(mapping.values()) <= {0, 1}:
+        raise ValueError(raw)
+    return mapping
+
+
 INT = (int, "an integer")
 NUMBER = (_finite, "a finite number")
 BOOL = (lambda raw: BOOL_WORDS[raw.lower()], "one of " + "/".join(BOOL_WORDS))
@@ -68,9 +77,8 @@ INTS = (_ints, "a comma-separated list of integers")
 INT_LISTS = (lambda raw: tuple(map(_ints, raw.split(";"))),
              "';'-separated lists of integers")
 TEXT = (str, "a string")
-LABEL_PAIRS = (lambda raw: {label: int(value) for label, value in
-                            (pair.split(":") for pair in raw.split(","))},
-               "a comma-separated list of label:integer pairs")
+LABEL_PAIRS = (_label_pairs, "a comma-separated list of label:0 or label:1 "
+               "pairs")
 
 # Every typed config key, with its parser and what the parser expects.  A
 # key left out takes the default of what it feeds (`PrepConfig`,
@@ -319,6 +327,20 @@ def _load_split(config, manifest, prefix, default_name=None
 # -- commands ----------------------------------------------------------
 
 
+def _split_rows(name: str, source: str, first: int, n: int, ratio: float,
+                seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows `first .. first + n` of the combined corpus, split; an empty part
+    is bad input, reported before any file is written."""
+    with _config_class_errors("config key split.ratio"):
+        parts = split_indices(n, ratio, seed)
+    for part, rows in zip(("train", "test"), parts):
+        if len(rows) == 0:
+            raise DataError(f"dataset {name} ({source}): split.ratio = "
+                            f"{ratio} leaves the {part} part of its {n} "
+                            f"usable rows empty")
+    return tuple(first + rows for rows in parts)
+
+
 def cmd_prep(args) -> int:
     config, settings, manifest = _start("prep", args)
     with _config_class_errors():
@@ -326,7 +348,7 @@ def cmd_prep(args) -> int:
     ratio = settings["split.ratio"]
     seed = settings["train.seed"]
 
-    corpora = {}
+    corpora, sources = {}, {}
     reports = []
     i = 1
     while f"data{i}.path" in config:
@@ -338,18 +360,36 @@ def cmd_prep(args) -> int:
             label_mapping=_required(config, prefix + ".label_mapping",
                                     LABEL_PAIRS))
         name = config.get(prefix + ".name", prefix)
-        manifest.add_input(config[prefix + ".path"])
-        corpus, report = load_dataset(config[prefix + ".path"], cmap, name,
+        path = config[prefix + ".path"]
+        try:
+            manifest.add_input(path)
+        except OSError as exc:
+            raise DataError(f"config key {prefix}.path: cannot read "
+                            f"{path!r}: {exc.strerror}") from None
+        corpus, report = load_dataset(path, cmap, name,
                                       **_given(settings, "data.",
                                                load_dataset))
         corpora[name] = corpus
+        sources[name] = f"{prefix}.path = {path}"
         reports.append(report)
         i += 1
     if not corpora:
         raise ArgumentError("no data1.path entry in the configuration")
 
+    # Each dataset is a contiguous slice of the combined corpus, so every
+    # split is a set of its rows.
     combined = combine(list(corpora.values()))
-    vocab = build_vocab(combined, prep,
+    splits, first = {}, 0
+    for name, corpus in corpora.items():
+        splits[name] = _split_rows(name, sources[name], first, len(corpus),
+                                   ratio, seed)
+        first += len(corpus)
+    splits["combined"] = _split_rows(
+        "combined", ", ".join(sources.values()), 0, len(combined), ratio,
+        seed)
+
+    tokens = tokenize_corpus(combined, prep)
+    vocab = build_vocab(tokens, prep,
                         **_given(settings, "vocab.", build_vocab))
     save_vocab(vocab, manifest.artifact("vocab.txt"))
 
@@ -358,7 +398,7 @@ def cmd_prep(args) -> int:
         for report in reports:
             fh.write(report.render() + "\n")
 
-    stats = seq_length_stats(combined, vocab, prep)
+    stats = seq_length_stats(tokens, vocab, prep)
     with open(manifest.artifact("length_stats.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(f"# short-word rule: drop tokens shorter than "
@@ -368,10 +408,10 @@ def cmd_prep(args) -> int:
             fh.write(f"{mode}\tmean={s['mean']:.2f}\tmax={s['max']}\t"
                      f"p95={s['percentile_95']:.1f}\n")
 
-    for name, corpus in [*corpora.items(), ("combined", combined)]:
-        sc = split(corpus, ratio, seed)
-        for part, docs in (("train", sc.train), ("test", sc.test)):
-            save_encoded(encode_corpus(docs, vocab, prep),
+    encoded = encode_corpus(tokens, vocab, prep)
+    for name, parts in splits.items():
+        for part, rows in zip(("train", "test"), parts):
+            save_encoded(encoded.take(rows),
                          manifest.artifact(f"{name}.{part}.npz"), len(vocab))
     manifest.write()
     return 0

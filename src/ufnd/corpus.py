@@ -117,17 +117,25 @@ def load_dataset(path, column_map: ColumnMap, name: str,
     return Corpus(docs=tuple(docs), name=name), report
 
 
-def split(corpus: Corpus, ratio: float, seed: int) -> SplitCorpus:
-    """Deterministic shuffle-then-cut split; train size = floor(ratio * n)."""
+def split_indices(n: int, ratio: float, seed: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test row indices of a deterministic shuffle-then-cut split
+    of `n` rows; train size = floor(ratio * n), and either part may be
+    empty."""
     if not 0.0 < ratio < 1.0:
         raise ArgumentError(f"split ratio must be in (0, 1), got {ratio}")
-    n = len(corpus)
-    if n < 2:
-        raise DegenerateSplitError(f"cannot split a corpus of {n} documents")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     perm = rng.permutation(n)
     n_train = math.floor(ratio * n)
-    train_idx, test_idx = perm[:n_train], perm[n_train:]
+    return perm[:n_train], perm[n_train:]
+
+
+def split(corpus: Corpus, ratio: float, seed: int) -> SplitCorpus:
+    """`split_indices` applied to a corpus of at least two documents."""
+    n = len(corpus)
+    train_idx, test_idx = split_indices(n, ratio, seed)
+    if n < 2:
+        raise DegenerateSplitError(f"cannot split a corpus of {n} documents")
     return SplitCorpus(
         train=Corpus(tuple(corpus.docs[i] for i in train_idx),
                      name=corpus.name + ":train"),

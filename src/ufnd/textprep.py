@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +78,35 @@ class EncodedDataset:
     def __len__(self):
         return self.ids.shape[0]
 
+    def take(self, rows: np.ndarray) -> "EncodedDataset":
+        """The dataset of these rows, in this order."""
+        return EncodedDataset(
+            ids=self.ids[rows], mask=self.mask[rows], labels=self.labels[rows],
+            true_lengths=self.true_lengths[rows], vocab_hash=self.vocab_hash,
+            max_seq_len=self.max_seq_len)
+
+
+def _ascii_table(lowercase: bool) -> bytes:
+    """Byte table for `normalize`'s ASCII path: digits and letters map to
+    themselves (A-Z to a-z when `lowercase`), every other byte to a space."""
+    table = bytearray(b" " * 256)
+    for ch in "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ":
+        table[ord(ch)] = ord(ch.lower() if lowercase else ch)
+    return bytes(table)
+
+
+_ASCII_TABLES = {lowercase: _ascii_table(lowercase)
+                 for lowercase in (False, True)}
+
 
 def normalize(text: str, cfg: PrepConfig) -> list[str]:
     """Lowercase, replace non-alphanumerics with spaces, split on runs."""
+    if cfg.strip_nonalnum and text.isascii():
+        # One byte-table pass gives the regex path's tokens.  Non-ASCII
+        # text takes the regex path, because `str.lower` can turn
+        # non-ASCII letters into ASCII ones (U+0130, the Kelvin sign).
+        return (text.encode("ascii").translate(_ASCII_TABLES[cfg.lowercase])
+                .decode("ascii").split())
     if cfg.lowercase:
         text = text.lower()
     if cfg.strip_nonalnum:
@@ -100,16 +125,69 @@ def tokenize(text: str, cfg: PrepConfig) -> list[str]:
     return remove_short_words(normalize(text, cfg), cfg.min_word_len)
 
 
-def build_vocab(corpus: Corpus, cfg: PrepConfig, max_size: int,
-                min_freq: int = 1) -> Vocabulary:
-    """Frequency-ranked vocabulary; ties broken lexicographically."""
-    if len(corpus) == 0:
-        raise ArgumentError("build_vocab requires a nonempty corpus")
-    counts = Counter()
+@dataclass(frozen=True)
+class TokenizedCorpus:
+    """A corpus normalised and filtered once.  Words are kept once each, in
+    first-seen order; documents hold int32 indices into them, concatenated
+    in `ids` and cut by `lengths`."""
+    cfg: PrepConfig
+    words: list[str]
+    ids: np.ndarray          # [sum(lengths)] int32 indices into `words`
+    lengths: np.ndarray      # [n] int64 kept tokens per document
+    raw_lengths: np.ndarray  # [n] int64 tokens before the short-word rule
+    labels: np.ndarray       # [n] int64
+
+    def __len__(self):
+        return len(self.lengths)
+
+
+class _WordIndex(dict):
+    """Word -> index; a word looked up for the first time gets the next."""
+
+    def __missing__(self, word):
+        self[word] = index = len(self)
+        return index
+
+
+def tokenize_corpus(corpus: Corpus, cfg: PrepConfig) -> TokenizedCorpus:
+    """Normalise and filter each document once, keeping word indices, not
+    token strings."""
+    index = _WordIndex()
+    ids, lengths, raw_lengths = [], [], []
     for doc in corpus:
-        counts.update(tokenize(doc.text, cfg))
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [tok for tok, freq in ranked[:max_size] if freq >= min_freq]
+        raw = normalize(doc.text, cfg)
+        kept = remove_short_words(raw, cfg.min_word_len)
+        ids += map(index.__getitem__, kept)
+        lengths.append(len(kept))
+        raw_lengths.append(len(raw))
+    return TokenizedCorpus(
+        cfg=cfg, words=list(index), ids=np.array(ids, dtype=np.int32),
+        lengths=np.array(lengths, dtype=np.int64),
+        raw_lengths=np.array(raw_lengths, dtype=np.int64),
+        labels=np.array([doc.label for doc in corpus], dtype=np.int64))
+
+
+def _tokenized(corpus: Corpus | TokenizedCorpus, cfg: PrepConfig,
+               caller: str) -> TokenizedCorpus:
+    """`corpus` tokenised under `cfg`; it must hold at least one document."""
+    if len(corpus) == 0:
+        raise ArgumentError(f"{caller} requires a nonempty corpus")
+    if not isinstance(corpus, TokenizedCorpus):
+        return tokenize_corpus(corpus, cfg)
+    if corpus.cfg != cfg:
+        raise ArgumentError(f"{caller}: corpus was tokenised under "
+                            f"{corpus.cfg}, not {cfg}")
+    return corpus
+
+
+def build_vocab(corpus: Corpus | TokenizedCorpus, cfg: PrepConfig,
+                max_size: int, min_freq: int = 1) -> Vocabulary:
+    """Frequency-ranked vocabulary; ties broken lexicographically."""
+    tokens = _tokenized(corpus, cfg, "build_vocab")
+    counts = np.bincount(tokens.ids, minlength=len(tokens.words)).tolist()
+    ranked = sorted(zip((-c for c in counts), tokens.words))
+    kept = [tok for neg_freq, tok in ranked[:max_size]
+            if -neg_freq >= min_freq]
     id_to_token = list(SPECIAL_TOKENS) + kept
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
     return Vocabulary(token_to_id=token_to_id, id_to_token=id_to_token,
@@ -151,49 +229,46 @@ def load_vocab(path) -> Vocabulary:
 
 def encode(doc: Document, vocab: Vocabulary, cfg: PrepConfig) -> EncodedSample:
     """[CLS] + token ids, truncated to max_seq_len, right-padded."""
-    tokens = tokenize(doc.text, cfg)
-    body = [vocab.lookup(t) for t in tokens[: cfg.max_seq_len - 1]]
-    ids = np.full(cfg.max_seq_len, PAD_ID, dtype=np.int32)
-    ids[0] = CLS_ID
-    ids[1:1 + len(body)] = body
-    true_length = 1 + len(body)
-    mask = np.zeros(cfg.max_seq_len, dtype=np.float32)
-    mask[:true_length] = 1.0
-    return EncodedSample(ids=ids, mask=mask, label=doc.label,
-                         true_length=true_length)
+    ds = encode_corpus(Corpus(docs=(doc,), name=doc.source), vocab, cfg)
+    return EncodedSample(ids=ds.ids[0], mask=ds.mask[0], label=doc.label,
+                         true_length=int(ds.true_lengths[0]))
 
 
-def encode_corpus(corpus: Corpus, vocab: Vocabulary,
+def encode_corpus(corpus: Corpus | TokenizedCorpus, vocab: Vocabulary,
                   cfg: PrepConfig) -> EncodedDataset:
-    if len(corpus) == 0:
-        raise ArgumentError("encode_corpus requires a nonempty corpus")
-    samples = [encode(doc, vocab, cfg) for doc in corpus]
+    """Every document as [CLS] + token ids, truncated to max_seq_len and
+    right-padded, one row each."""
+    tokens = _tokenized(corpus, cfg, "encode_corpus")
+    width = cfg.max_seq_len
+    # Each token's position in its document; the first width - 1 are kept.
+    starts = np.cumsum(tokens.lengths) - tokens.lengths
+    position = np.arange(len(tokens.ids)) - np.repeat(starts, tokens.lengths)
+    body = np.minimum(tokens.lengths, width - 1)
+    word_ids = np.array([vocab.lookup(w) for w in tokens.words],
+                        dtype=np.int32)
+    ids = np.full((len(tokens), width), PAD_ID, dtype=np.int32)
+    ids[:, 0] = CLS_ID
+    ids[:, 1:][np.arange(width - 1) < body[:, None]] = \
+        word_ids[tokens.ids[position < width - 1]]
+    true_lengths = body + 1
     return EncodedDataset(
-        ids=np.stack([s.ids for s in samples]),
-        mask=np.stack([s.mask for s in samples]),
-        labels=np.array([s.label for s in samples], dtype=np.int64),
-        true_lengths=np.array([s.true_length for s in samples], dtype=np.int64),
-        vocab_hash=vocab.config_hash,
-        max_seq_len=cfg.max_seq_len)
+        ids=ids,
+        mask=(np.arange(width) < true_lengths[:, None]).astype(np.float32),
+        labels=tokens.labels, true_lengths=true_lengths,
+        vocab_hash=vocab.config_hash, max_seq_len=width)
 
 
-def seq_length_stats(corpus: Corpus, vocab: Vocabulary | None,
-                     cfg: PrepConfig) -> dict:
+def seq_length_stats(corpus: Corpus | TokenizedCorpus,
+                     vocab: Vocabulary | None, cfg: PrepConfig) -> dict:
     """Pre-truncation token-count statistics with and without removal."""
-    if len(corpus) == 0:
-        raise ArgumentError("seq_length_stats requires a nonempty corpus")
-    without, with_removal = [], []
-    for doc in corpus:
-        raw = normalize(doc.text, cfg)
-        without.append(len(raw))
-        with_removal.append(len(remove_short_words(raw, cfg.min_word_len)))
+    tokens = _tokenized(corpus, cfg, "seq_length_stats")
 
     def summarize(counts):
-        arr = np.asarray(counts, dtype=np.float64)
+        arr = counts.astype(np.float64)
         return {"mean": float(arr.mean()), "max": int(arr.max()),
                 "percentile_95": float(np.percentile(arr, 95))}
 
-    return {"without_removal": summarize(without),
-            "with_removal": summarize(with_removal),
-            "per_doc_without": without,
-            "per_doc_with": with_removal}
+    return {"without_removal": summarize(tokens.raw_lengths),
+            "with_removal": summarize(tokens.lengths),
+            "per_doc_without": tokens.raw_lengths.tolist(),
+            "per_doc_with": tokens.lengths.tolist()}

@@ -1,4 +1,7 @@
+import csv
 import json
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,9 +10,11 @@ from ufnd import cli
 from ufnd.checkpoint import load_checkpoint
 from ufnd.cli import (KEYS, load_encoded, main, parse_config_file,
                       resolve_config, save_encoded, sha256_file)
+from ufnd.corpus import ColumnMap, combine, load_dataset, split
 from ufnd.errors import ArgumentError, SchemaError
 from ufnd.model import desk_config
 from ufnd.synthetic import make_synthetic_corpus, write_synthetic_csv
+from ufnd.textprep import CLS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, PrepConfig
 from ufnd.trainer import TrainConfig
 from ufnd.unified import DEFAULT_BATCH_SIZES, AblationGrid
 
@@ -263,7 +268,8 @@ class TestStrictConfigValues:
         return main(["train", "--config", str(train_cfg),
                      "--out", str(tmp_path / "out")])
 
-    @pytest.mark.parametrize("value", ["REAL0,FAKE:1", "REAL:x"])
+    @pytest.mark.parametrize("value", ["REAL0,FAKE:1", "REAL:x",
+                                       "REAL:0,FAKE:7"])
     def test_bad_label_mapping_exits_2(self, value, tmp_path, capsys):
         config = write_prep_config(tmp_path, write_datasets(tmp_path))
         config.write_text(config.read_text().replace(
@@ -285,6 +291,16 @@ class TestStrictConfigValues:
         assert self._train(prepped, tmp_path, key, value) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "checkpoint.ufnd").exists()
+
+    def test_split_ratio_outside_the_unit_interval_exits_2(self, tmp_path,
+                                                            capsys):
+        config = write_prep_config(tmp_path, write_datasets(tmp_path))
+        config.write_text(config.read_text() + "split.ratio = 1.5\n")
+        out = tmp_path / "out"
+        assert main(["prep", "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert "config key split.ratio" in capsys.readouterr().err
+        assert not (out / "vocab.txt").exists()
 
     def test_min_word_len_zero_exits_2(self, tmp_path, capsys):
         config = write_prep_config(tmp_path, write_datasets(tmp_path))
@@ -468,12 +484,161 @@ class TestPrepCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["prep.min_word_len"] == "1"
 
+    @pytest.mark.parametrize("extra", [
+        "", "prep.min_word_len = 1\nprep.lowercase = off\n"
+            "prep.strip_nonalnum = off\n"])
+    def test_outputs_equal_the_per_split_composition(self, extra, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text(_edge_case_config(tmp_path) + extra)
+        out = tmp_path / "out"
+        assert main(["prep", "--config", str(config), "--out", str(out)]) == 0
+        settings = cli.parse_settings(parse_config_file(config))
+        prep = PrepConfig(**cli._given(settings, "prep.", PrepConfig))
+        ratio, seed = settings["split.ratio"], settings["train.seed"]
+        corpora = {name: load_dataset(tmp_path / f"{name}.csv", _COLUMNS,
+                                      name)[0] for name in EDGE_CASE_ROWS}
+        corpora["combined"] = combine(list(corpora.values()))
+        token_to_id = _old_vocab(corpora["combined"], prep,
+                                 settings["vocab.max_size"])
+
+        assert (out / "vocab.txt").read_text().splitlines()[1:] == \
+            list(token_to_id)[len(SPECIAL_TOKENS):]
+        assert (out / "length_stats.txt").read_text() == \
+            _old_length_stats(corpora["combined"], prep)
+        for name, corpus in corpora.items():
+            sc = split(corpus, ratio, seed)
+            for part, docs in (("train", sc.train), ("test", sc.test)):
+                want = _old_encode(docs, token_to_id, prep)
+                with np.load(out / f"{name}.{part}.npz") as got:
+                    for key, array in want.items():
+                        assert got[key].dtype == array.dtype, (name, key)
+                        np.testing.assert_array_equal(got[key], array)
+        assert UNK_ID in np.load(out / "combined.train.npz")["ids"]
+
+    @pytest.mark.parametrize("rows, ratio, part, n", [
+        ([("a", "alpha beta gamma", "REAL")] * 3, 0.2, "train", 3),
+        ([("", "", "REAL"), ("a", "alpha beta", "FAKE"), ("", "", "REAL")],
+         0.8, "train", 1)])
+    def test_empty_split_exits_2_before_any_file(self, rows, ratio, part, n,
+                                                 tmp_path, capsys):
+        data = write_datasets(tmp_path, n=(20,))[0]
+        small = tmp_path / "small.csv"
+        _write_rows(small, rows)
+        config = tmp_path / "c.cfg"
+        config.write_text(
+            write_prep_config(tmp_path, [data, small]).read_text()
+            + f"split.ratio = {ratio}\n")
+        out = tmp_path / "out"
+        assert main(["prep", "--config", str(config),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        for named in ("dataset ds2", f"data2.path = {small}",
+                      f"split.ratio = {ratio}", f"{part} part",
+                      f"{n} usable rows"):
+            assert named in err
+        assert not list(out.glob("*.npz"))
+        assert not (out / "vocab.txt").exists()
+
     def test_missing_data_key_fails(self, tmp_path):
         config = tmp_path / "c.cfg"
         config.write_text("train.seed = 1\n")
         out = tmp_path / "out"
         assert main(["prep", "--config", str(config),
                      "--out", str(out)]) == 1
+
+
+# Mixed case and punctuation runs, documents past max_seq_len, documents
+# with no kept token, non-ASCII text, blank rows, frequency ties and more
+# words than vocab.max_size.
+EDGE_CASE_ROWS = {
+    "ds1": [("BREAKING!!! Moon--landing...", "HoAx?! the MEDIA lied;;; "
+             "again", "FAKE"),
+            ("", "it is a an of to", "REAL"),
+            ("Long", "alpha bravo charlie delta echo foxtrot golf hotel "
+             "india juliet kilo lima", "REAL"),
+            ("ties", "tie tie aaa aaa bbb bbb zzz zzz", "FAKE"),
+            ("\u0130stanbul \u212aelvin", "STRASSE stra\u00dfe "
+             "\u03a3\u038a\u03a3\u03a5\u03a6\u039f\u03a3 na\u00efve", "REAL"),
+            ("words", "zeta omega sigma kappa theta media", "FAKE")],
+    "ds2": [("Hoax", "media hoax MEDIA hoax moon", "FAKE"),
+            ("", "", "REAL"),
+            ("x", "y z", "REAL"),
+            ("Tabs\tand\x0bvt", "new\nlines\x1cand\x1dseparators", "FAKE"),
+            ("many", "one two three four five six seven eight nine ten "
+             "eleven twelve", "REAL"),
+            ("last", "tie bbb aaa zzz", "FAKE")],
+}
+_COLUMNS = ColumnMap(("title", "text"), "label", {"REAL": 0, "FAKE": 1})
+_NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["title", "text", "label"])
+        writer.writerows(rows)
+
+
+def _edge_case_config(tmp_path) -> str:
+    lines = ["prep.max_seq_len = 8", "vocab.max_size = 12",
+             "train.seed = 5"]
+    for i, (name, rows) in enumerate(EDGE_CASE_ROWS.items(), start=1):
+        _write_rows(tmp_path / f"{name}.csv", rows)
+        lines += [f"data{i}.path = {tmp_path / f'{name}.csv'}",
+                  f"data{i}.name = {name}",
+                  f"data{i}.text_columns = title,text",
+                  f"data{i}.label_column = label",
+                  f"data{i}.label_mapping = REAL:0,FAKE:1"]
+    return "\n".join(lines) + "\n"
+
+
+# The per-split composition `prep` ran before it tokenised each document
+# once: a regex normaliser, a Counter vocabulary, and one encoded row per
+# document of each split.
+def _old_tokens(text, prep):
+    if prep.lowercase:
+        text = text.lower()
+    if prep.strip_nonalnum:
+        text = _NON_ALNUM.sub(" ", text)
+    raw = text.split()
+    return raw, [t for t in raw if len(t) >= prep.min_word_len]
+
+
+def _old_vocab(corpus, prep, max_size) -> dict[str, int]:
+    counts = Counter()
+    for doc in corpus:
+        counts.update(_old_tokens(doc.text, prep)[1])
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    tokens = list(SPECIAL_TOKENS) + [tok for tok, _ in ranked[:max_size]]
+    return {tok: i for i, tok in enumerate(tokens)}
+
+
+def _old_encode(corpus, token_to_id, prep) -> dict[str, np.ndarray]:
+    width = prep.max_seq_len
+    ids = np.full((len(corpus), width), PAD_ID, dtype=np.int32)
+    mask = np.zeros((len(corpus), width), dtype=np.float32)
+    true_lengths = []
+    for row, doc in enumerate(corpus):
+        kept = _old_tokens(doc.text, prep)[1][:width - 1]
+        ids[row, 0] = CLS_ID
+        ids[row, 1:1 + len(kept)] = [token_to_id.get(t, UNK_ID) for t in kept]
+        mask[row, :1 + len(kept)] = 1.0
+        true_lengths.append(1 + len(kept))
+    return {"ids": ids, "mask": mask,
+            "labels": np.array([d.label for d in corpus], dtype=np.int64),
+            "true_lengths": np.array(true_lengths, dtype=np.int64)}
+
+
+def _old_length_stats(corpus, prep) -> str:
+    text = (f"# short-word rule: drop tokens shorter than "
+            f"{prep.min_word_len} characters\n")
+    counts = [_old_tokens(doc.text, prep) for doc in corpus]
+    for mode, pick in (("without_removal", 0), ("with_removal", 1)):
+        arr = np.asarray([len(c[pick]) for c in counts], dtype=np.float64)
+        text += (f"{mode}\tmean={float(arr.mean()):.2f}\t"
+                 f"max={int(arr.max())}\t"
+                 f"p95={float(np.percentile(arr, 95)):.1f}\n")
+    return text
 
 
 class TestTrainEvalCommands:
@@ -715,12 +880,16 @@ class TestErrorContracts:
         assert main(["prep", "--config", str(config),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_missing_file_exit_1(self, tmp_path):
+    def test_missing_data_path_exits_2_naming_key_and_path(self, tmp_path,
+                                                            capsys):
+        missing = tmp_path / "nope.csv"
         config = tmp_path / "c.cfg"
         config.write_text(
-            "data1.path = /nonexistent/file.csv\n"
+            f"data1.path = {missing}\n"
             "data1.text_columns = title,text\n"
             "data1.label_column = label\n"
             "data1.label_mapping = REAL:0,FAKE:1\n")
         assert main(["prep", "--config", str(config),
-                     "--out", str(tmp_path / "o")]) == 1
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config key data1.path" in err and str(missing) in err

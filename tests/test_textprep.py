@@ -1,3 +1,6 @@
+import re
+import string
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from ufnd.errors import ArgumentError
 from ufnd.textprep import (CLS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, PrepConfig,
                            build_vocab, encode, encode_corpus, load_vocab,
                            normalize, remove_short_words, save_vocab,
-                           seq_length_stats, tokenize)
+                           seq_length_stats, tokenize, tokenize_corpus)
 
 
 def corpus_of(texts, name="t"):
@@ -28,6 +31,31 @@ class TestNormalize:
 
     def test_empty_string(self):
         assert normalize("", PrepConfig()) == []
+
+    # ASCII text takes a byte-table pass; it must give the regex path's
+    # tokens.  The non-ASCII characters lower to ASCII (U+0130, the Kelvin
+    # sign) or lower to themselves, and keep the text on the regex path.
+    MIXED = (string.ascii_letters + string.digits + string.punctuation
+             + " \t\n\x0b\x0c\x1c\x1d\x1e\x1f" + "\u0130\u212a\u00df\u03a3")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet=MIXED, max_size=40),
+           lowercase=st.booleans(), strip_nonalnum=st.booleans())
+    def test_ascii_path_equals_regex_path(self, text, lowercase,
+                                          strip_nonalnum):
+        cfg = PrepConfig(lowercase=lowercase, strip_nonalnum=strip_nonalnum)
+        expected = text.lower() if lowercase else text
+        if strip_nonalnum:
+            expected = re.sub(r"[^0-9a-zA-Z]+", " ", expected)
+        assert normalize(text, cfg) == expected.split()
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("\u0130stanbul", ["i", "stanbul"]),
+        ("\u212aelvin", ["kelvin"]),
+        ("Stra\u00dfe", ["stra", "e"]),
+        ("a\x1cb\x0bc", ["a", "b", "c"])])
+    def test_lowering_to_ascii(self, text, tokens):
+        assert normalize(text, PrepConfig()) == tokens
 
 
 class TestRemoveShortWords:
@@ -165,6 +193,39 @@ class TestEncode:
         assert ds.labels.tolist() == [0, 1]
         assert ds.vocab_hash == vocab.config_hash
         assert len(ds) == 2
+
+
+class TestTokenizeCorpus:
+    def test_word_indices_in_first_seen_order(self):
+        tokens = tokenize_corpus(
+            corpus_of(["Bbb, aaa! it bbb", "of", "ccc aaa"]), PrepConfig())
+        assert tokens.words == ["bbb", "aaa", "ccc"]
+        assert tokens.ids.dtype == np.int32
+        assert tokens.ids.tolist() == [0, 1, 0, 2, 1]
+        assert tokens.lengths.tolist() == [3, 0, 2]
+        assert tokens.raw_lengths.tolist() == [4, 1, 2]
+        assert tokens.labels.tolist() == [0, 1, 0]
+
+    def test_functions_take_either_form(self):
+        cfg = PrepConfig(max_seq_len=4)
+        corpus = corpus_of(["hoax media media viral story", "it is", "hoax"])
+        tokens = tokenize_corpus(corpus, cfg)
+        vocab = build_vocab(corpus, cfg, max_size=3)
+        assert build_vocab(tokens, cfg, max_size=3) == vocab
+        assert seq_length_stats(tokens, vocab, cfg) == \
+            seq_length_stats(corpus, vocab, cfg)
+        a, b = (encode_corpus(c, vocab, cfg) for c in (corpus, tokens))
+        for name in ("ids", "mask", "labels", "true_lengths"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        # hoax and media tie at 2 and rank by name; viral falls past 3.
+        assert vocab.id_to_token[3:] == ["hoax", "media", "story"]
+        assert a.ids.tolist() == [[CLS_ID, 3, 4, 4], [CLS_ID, 0, 0, 0],
+                                  [CLS_ID, 3, 0, 0]]
+
+    def test_other_config_is_rejected(self):
+        tokens = tokenize_corpus(corpus_of(["hoax"]), PrepConfig())
+        with pytest.raises(ArgumentError, match="tokenised under"):
+            build_vocab(tokens, PrepConfig(min_word_len=1), max_size=3)
 
 
 class TestSeqLengthStats:
