@@ -92,7 +92,7 @@ KEYS = {
     "train.seed": INT, "train.lr": NUMBER, "train.clip": NUMBER,
     "train.epochs": INT, "train.batch_size": INT,
     "train.dropout_rate": NUMBER, "train.freeze_encoder": BOOL,
-    "train.best_mode": TEXT, "train.checked": BOOL,
+    "train.checked": BOOL,
     "model.n_blocks_total": INT, "model.block_subset": INTS,
     "model.d_model": INT, "model.n_heads": INT, "model.d_ff": INT,
     "model.h1": INT, "model.h2": INT,
@@ -215,8 +215,13 @@ class Manifest:
         self.out_dir = out_dir
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def add_input(self, path):
-        self.data["inputs"][str(path)] = sha256_file(path)
+    def add_input(self, path, source: str):
+        """Record `path`'s digest; `source` (a key or flag) names it."""
+        try:
+            self.data["inputs"][str(path)] = sha256_file(path)
+        except OSError as exc:
+            raise DataError(f"{source}: cannot read {str(path)!r}: "
+                            f"{exc.strerror}") from None
 
     def artifact(self, name: str) -> Path:
         path = self.out_dir / name
@@ -288,6 +293,8 @@ def load_encoded(path) -> tuple[EncodedDataset, dict]:
         raise DataError(f"{path}: ids {ds.ids.shape} and mask "
                         f"{ds.mask.shape} must share one [rows, length] shape")
     n = len(ds.ids)
+    if n == 0:
+        raise DataError(f"{path}: holds no rows")
     for name in ("labels", "true_lengths"):
         if getattr(ds, name).shape != (n,):
             raise DataError(f"{path}: {name} has shape "
@@ -314,12 +321,11 @@ def load_encoded(path) -> tuple[EncodedDataset, dict]:
 def _load_split(config, manifest, prefix, default_name=None
                 ) -> tuple[EncodedSplit, dict]:
     """The split under `prefix`, its files recorded as inputs, and its meta."""
-    paths = [_required(config, prefix + ".train"),
-             _required(config, prefix + ".test")]
-    train_ds, meta = load_encoded(paths[0])
-    test_ds, _ = load_encoded(paths[1])
-    for path in paths:
-        manifest.add_input(path)
+    keys = [prefix + ".train", prefix + ".test"]
+    for key in keys:
+        manifest.add_input(_required(config, key), "config key " + key)
+    train_ds, meta = load_encoded(config[keys[0]])
+    test_ds, _ = load_encoded(config[keys[1]])
     name = config.get(prefix + ".name", default_name or prefix)
     return EncodedSplit(name=name, train=train_ds, test=test_ds), meta
 
@@ -348,7 +354,7 @@ def cmd_prep(args) -> int:
     ratio = settings["split.ratio"]
     seed = settings["train.seed"]
 
-    corpora, sources = {}, {}
+    corpora, sources, names = {}, {}, {"combined": "the combined split"}
     reports = []
     i = 1
     while f"data{i}.path" in config:
@@ -360,12 +366,12 @@ def cmd_prep(args) -> int:
             label_mapping=_required(config, prefix + ".label_mapping",
                                     LABEL_PAIRS))
         name = config.get(prefix + ".name", prefix)
+        if name in names:  # files are written per name, so rows would be lost
+            raise SchemaError(f"config key {prefix}.name: {name!r} is "
+                              f"already the name of {names[name]}")
+        names[name] = f"config key {prefix}.name"
         path = config[prefix + ".path"]
-        try:
-            manifest.add_input(path)
-        except OSError as exc:
-            raise DataError(f"config key {prefix}.path: cannot read "
-                            f"{path!r}: {exc.strerror}") from None
+        manifest.add_input(path, f"config key {prefix}.path")
         corpus, report = load_dataset(path, cmap, name,
                                       **_given(settings, "data.",
                                                load_dataset))
@@ -446,7 +452,7 @@ def cmd_unify(args) -> int:
     if not datasets:
         raise ArgumentError("no dataset1.train entry in the configuration")
     baselines_path = _required(config, "baselines")
-    manifest.add_input(baselines_path)
+    manifest.add_input(baselines_path, "config key baselines")
     baselines = load_baselines(baselines_path)
 
     model_cfg, train_cfg = _configs(settings, meta)
@@ -534,8 +540,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_eval(args) -> int:
     _, _, manifest = _start("eval", args)
-    manifest.add_input(args.checkpoint)
-    manifest.add_input(args.data)
+    manifest.add_input(args.checkpoint, "--checkpoint")
+    manifest.add_input(args.data, "--data")
     ckpt = load_checkpoint(args.checkpoint, prefix="best/")
     ds, _ = load_encoded(args.data)
     expected = ckpt.config.get("vocab_hash", "")
@@ -543,7 +549,7 @@ def cmd_eval(args) -> int:
         raise IncompatibilityError(
             f"checkpoint vocab hash {expected} != corpus vocab hash "
             f"{ds.vocab_hash}")
-    model, _ = model_from_checkpoint(ckpt, which="best")
+    model, _ = model_from_checkpoint(ckpt)
     if model.config.encoder.max_seq_len != ds.max_seq_len:
         raise IncompatibilityError(
             f"checkpoint max_seq_len {model.config.encoder.max_seq_len} != "

@@ -3,8 +3,8 @@ clip / Adam stepping, per-epoch validation, best-validation weight
 handling, and checkpoint round-tripping.
 
 "Best weights are used for subsequent epochs" is implemented as
-restore-on-no-improvement (rollback); plain best-checkpoint selection is
-available via ``best_mode="select"``.
+restore-on-no-improvement (rollback), so a run ends on its best weights
+and a checkpoint stores them once, as `best/`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .autograd import no_grad
 from .checkpoint import Checkpoint
 from .classifier import HeadConfig, predict
 from .encoder import EncoderConfig
-from .errors import ArgumentError, NonFiniteError
+from .errors import ArgumentError, IncompatibilityError, NonFiniteError
 from .metrics import Metrics, compute_metrics, confusion
 from .model import Model, ModelConfig
 from .numerics import (AdamState, GELU_VARIANT, RngStreams, adam_step,
@@ -31,9 +31,10 @@ from .numerics import (AdamState, GELU_VARIANT, RngStreams, adam_step,
 from .textprep import EncodedDataset
 
 
-# Fields that `train()` never read and that `TrainConfig` no longer has;
-# checkpoint headers written before they went still carry them.
-RETIRED_TRAIN_FIELDS = ("dropout_rate", "max_seq_len", "preprocessing_enabled")
+# Fields that `TrainConfig` no longer has; checkpoint headers written
+# before they went still carry them.
+RETIRED_TRAIN_FIELDS = ("dropout_rate", "max_seq_len", "preprocessing_enabled",
+                        "best_mode")
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     freeze_encoder: bool = False
-    best_mode: str = "rollback"
     checked: bool = False
 
     def __post_init__(self):
@@ -54,8 +54,6 @@ class TrainConfig:
             raise ArgumentError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ArgumentError("batch_size must be >= 2")
-        if self.best_mode not in ("rollback", "select"):
-            raise ArgumentError("best_mode must be 'rollback' or 'select'")
 
 
 @dataclass
@@ -192,11 +190,7 @@ def make_checkpoint(model: Model, cfg: TrainConfig, adam: dict,
     config = {"encoder": enc, "head": asdict(model.config.head),
               "train": asdict(cfg), "vocab_hash": vocab_hash,
               "dtype": np.dtype(model.dtype).str}
-    tensors = {}
-    for name, arr in model.state_arrays().items():
-        tensors["model/" + name] = arr.copy()
-    for name, arr in best_state.items():
-        tensors["best/" + name] = arr.copy()
+    tensors = {"best/" + name: arr.copy() for name, arr in best_state.items()}
     for name, state in adam.items():
         tensors[f"adam/{name}/m"] = state.m.copy()
         tensors[f"adam/{name}/v"] = state.v.copy()
@@ -209,9 +203,8 @@ def make_checkpoint(model: Model, cfg: TrainConfig, adam: dict,
     return Checkpoint(config=config, tensors=tensors, meta=meta)
 
 
-def model_from_checkpoint(ckpt: Checkpoint, which: str = "best"
-                          ) -> tuple[Model, TrainConfig]:
-    """The model whose parameters are the checkpoint's `which/` arrays
+def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, TrainConfig]:
+    """The model whose parameters are the checkpoint's `best/` arrays
     themselves (not copies), and its training config."""
     enc_cfg = dict(ckpt.config["encoder"])
     enc_cfg["block_subset"] = tuple(enc_cfg["block_subset"])
@@ -220,9 +213,8 @@ def model_from_checkpoint(ckpt: Checkpoint, which: str = "best"
     cfg = TrainConfig(**{k: v for k, v in ckpt.config["train"].items()
                          if k not in RETIRED_TRAIN_FIELDS})
     dtype = np.dtype(ckpt.config.get("dtype", "<f4"))
-    prefix = which + "/"
-    state = {name[len(prefix):]: arr for name, arr in ckpt.tensors.items()
-             if name.startswith(prefix)}
+    state = {name[5:]: arr for name, arr in ckpt.tensors.items()
+             if name.startswith("best/")}
     model = Model(config, RngStreams(cfg.seed), dtype=dtype.type,
                   arrays=state)
     model.rng.restore(ckpt.meta["rng_state"])
@@ -253,7 +245,8 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
           ) -> tuple[Checkpoint, TrainReport]:
     """Train, validating each epoch, and return the best-validation
     checkpoint plus a per-epoch report.  The checkpoint records
-    `train_ds.vocab_hash`, which `ufnd eval` checks its data against."""
+    `train_ds.vocab_hash`, which `ufnd eval` checks its data against.
+    `resume` continues from the checkpoint's `best/` weights."""
     if len(train_ds) == 0:
         raise ArgumentError("train requires a nonempty training set")
     if len(val_ds) == 0:
@@ -261,14 +254,16 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
     params = model.trainable_parameters(cfg.freeze_encoder)
     adam = {p.name: AdamState.for_param(p, lr=cfg.lr) for p in params}
 
-    start_epoch = 0
-    best_acc = -1.0
-    best_epoch = 0
-    best_state = model.snapshot()
+    # Epoch 1 always beats -1 and takes the first snapshot of `best_state`.
+    start_epoch, best_epoch, best_acc = 0, 0, -1.0
     if resume is not None:
-        model.load_state_arrays({
-            name[len("model/"):]: arr for name, arr in resume.tensors.items()
-            if name.startswith("model/")})
+        mode = resume.config["train"].get("best_mode", "rollback")
+        if mode != "rollback":  # its last weights are not its best/
+            raise IncompatibilityError(f"cannot resume a checkpoint trained "
+                                       f"with best_mode={mode!r}")
+        best_state = {name[5:]: arr for name, arr in resume.tensors.items()
+                      if name.startswith("best/")}  # read, never written
+        model.load_state_arrays(best_state)
         model.rng.restore(resume.meta["rng_state"])
         for name, state in adam.items():
             state.resume(resume.tensors[f"adam/{name}/m"].copy(),
@@ -277,14 +272,11 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
         start_epoch = resume.meta["epoch"]
         best_epoch = resume.meta["best_epoch"]
         best_acc = resume.meta["best_val_accuracy"]
-        best_state = {name[5:]: arr.copy() for name, arr in
-                      resume.tensors.items() if name.startswith("best/")}
 
     report = TrainReport(metadata={
         "rng_algorithm": RngStreams.ALGORITHM,
         "gelu_variant": GELU_VARIANT,
         "tokenizer": "whitespace-nonalnum (simplified, not WordPiece)",
-        "best_mode": cfg.best_mode,
         "freeze_encoder": cfg.freeze_encoder,
         "seed": cfg.seed,
         "note": "validation set is the held-out test split; selection and "
@@ -312,7 +304,7 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
             best_acc = val.accuracy
             best_epoch = epoch
             best_state = model.snapshot()
-        elif cfg.best_mode == "rollback":
+        else:
             model.load_state_arrays(best_state)
     report.best_epoch = best_epoch
     report.best_val_accuracy = best_acc

@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from ufnd.checkpoint import Checkpoint
 from ufnd.classifier import HeadConfig
 from ufnd.corpus import split
 from ufnd.encoder import EncoderConfig
@@ -55,3 +58,17 @@ def toy_split():
 def toy_model_config(vocab_size, dropout_rate=0.1):
     return tiny_config(vocab_size=vocab_size, max_seq_len=TOY_SEQ_LEN,
                        dropout_rate=dropout_rate)
+
+
+def legacy_checkpoint(ckpt: Checkpoint, best_mode: str) -> Checkpoint:
+    """`ckpt` as it was written while checkpoints also stored the live
+    weights as `model/` (here copies of `best/`) and `TrainConfig` had a
+    `best_mode`."""
+    config = copy.deepcopy(ckpt.config)
+    config["train"]["best_mode"] = best_mode
+    tensors = dict(ckpt.tensors)
+    tensors.update({"model/" + name[len("best/"):]: arr.copy()
+                    for name, arr in ckpt.tensors.items()
+                    if name.startswith("best/")})
+    return Checkpoint(config=config, tensors=tensors, meta=ckpt.meta)
+

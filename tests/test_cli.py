@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import re
 from collections import Counter
@@ -6,15 +7,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import legacy_checkpoint
 from ufnd import cli
-from ufnd.checkpoint import load_checkpoint
+from ufnd.checkpoint import load_checkpoint, save_checkpoint
+from ufnd.classifier import HeadConfig
 from ufnd.cli import (KEYS, load_encoded, main, parse_config_file,
                       resolve_config, save_encoded, sha256_file)
 from ufnd.corpus import ColumnMap, combine, load_dataset, split
+from ufnd.encoder import EncoderConfig
 from ufnd.errors import ArgumentError, SchemaError
 from ufnd.model import desk_config
 from ufnd.synthetic import make_synthetic_corpus, write_synthetic_csv
-from ufnd.textprep import CLS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, PrepConfig
+from ufnd.textprep import (CLS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID,
+                           PrepConfig, build_vocab)
 from ufnd.trainer import TrainConfig
 from ufnd.unified import DEFAULT_BATCH_SIZES, AblationGrid
 
@@ -79,8 +84,10 @@ class TestConfigPlumbing:
         with pytest.raises(ArgumentError, match="c.cfg:1"):
             parse_config_file(p)
 
+    # `train.best_mode` is retired: rollback is the only behaviour.
     @pytest.mark.parametrize("key", ["trian.lr", "train.learning_rate",
-                                     "data1.colour", "model"])
+                                     "data1.colour", "model",
+                                     "train.best_mode"])
     def test_unknown_key_exits_2_naming_file_line_and_key(self, key,
                                                           tmp_path, capsys):
         config = tmp_path / "c.cfg"
@@ -282,7 +289,6 @@ class TestStrictConfigValues:
 
     @pytest.mark.parametrize("key, value, message", [
         ("train.batch_size", "1", "batch_size must be >= 2"),
-        ("train.best_mode", "other", "best_mode must be"),
         ("model.n_heads", "3", "not divisible by n_heads 3"),
     ])
     def test_value_its_config_class_rejects_exits_2(self, key, value,
@@ -390,6 +396,34 @@ class TestRequiredKeys:
         err = capsys.readouterr().err
         assert f"config key {key}" in err and named in err
         assert not list(tmp_path.glob("out/table_*"))
+
+
+# The keys that a command reads by name rather than through `_given`, each
+# with the function that reads it.
+READ_BY_NAME = {"split.ratio": cli.cmd_prep,
+                "train.dropout_rate": cli._configs,
+                "unify.threshold": cli.cmd_unify,
+                "unify.batch_sizes": cli.cmd_unify,
+                "ablate.subsets": cli.cmd_ablate}
+# What `_given` hands the keys of each prefix to.
+FED_BY_PREFIX = {"prep": (PrepConfig,), "train": (TrainConfig,),
+                 "model": (EncoderConfig, HeadConfig),
+                 "vocab": (build_vocab,), "data": (load_dataset,),
+                 "ablate": (AblationGrid,)}
+
+
+def test_every_config_key_feeds_a_setting():
+    """A key that feeds nothing would be accepted and silently ignored,
+    since `_given` skips names its target does not take."""
+    assert set(READ_BY_NAME) <= set(KEYS)
+    for key in KEYS:
+        prefix, name = key.split(".", 1)
+        if key in READ_BY_NAME:
+            assert f'"{key}"' in inspect.getsource(READ_BY_NAME[key]), key
+        else:
+            assert any(name in inspect.signature(target).parameters
+                       for target in FED_BY_PREFIX.get(prefix, ())), \
+                f"config key {key} feeds no setting"
 
 
 class Seen(Exception):
@@ -538,6 +572,24 @@ class TestPrepCommand:
             assert named in err
         assert not list(out.glob("*.npz"))
         assert not (out / "vocab.txt").exists()
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("data2.name = ds2", "data2.name = ds1",
+         ("config key data1.name", "config key data2.name", "'ds1'")),
+        ("data1.name = ds1", "data1.name = combined",
+         ("config key data1.name", "'combined'", "the combined split"))])
+    def test_repeated_dataset_name_exits_2_before_any_file(
+            self, old, new, named, tmp_path, capsys):
+        config = write_prep_config(tmp_path, write_datasets(tmp_path))
+        config.write_text(config.read_text().replace(old, new))
+        out = tmp_path / "out"
+        assert main(["prep", "--config", str(config),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        for name in named:
+            assert name in err
+        assert not list(out.glob("*.npz"))
+        assert not list(out.glob("*"))
 
     def test_missing_data_key_fails(self, tmp_path):
         config = tmp_path / "c.cfg"
@@ -690,6 +742,100 @@ class TestTrainEvalCommands:
         assert main(["eval", "--out", str(tmp_path / "e"),
                      "--checkpoint", str(bad),
                      "--data", str(prep_out / "ds1.test.npz")]) == 1
+
+
+class TestInputFiles:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        """The prep config and output, and a checkpoint trained on ds1."""
+        tmp_path = tmp_path_factory.mktemp("inputs")
+        config, prep_out = run_prep(tmp_path)
+        train_cfg = tmp_path / "train.cfg"
+        train_cfg.write_text(
+            config.read_text()
+            + f"data.train = {prep_out / 'ds1.train.npz'}\n"
+            + f"data.test = {prep_out / 'ds1.test.npz'}\n")
+        assert main(["train", "--config", str(train_cfg),
+                     "--out", str(tmp_path / "train_out")]) == 0
+        return config, prep_out, tmp_path / "train_out" / "checkpoint.ufnd"
+
+    @staticmethod
+    def _train(config, train_path, test_path, tmp_path):
+        train_cfg = tmp_path / "train.cfg"
+        train_cfg.write_text(config.read_text()
+                             + f"data.train = {train_path}\n"
+                             + f"data.test = {test_path}\n")
+        return main(["train", "--config", str(train_cfg),
+                     "--out", str(tmp_path / "out")])
+
+    @staticmethod
+    def _eval(checkpoint, data, tmp_path):
+        return main(["eval", "--out", str(tmp_path / "out"),
+                     "--checkpoint", str(checkpoint), "--data", str(data)])
+
+    @staticmethod
+    def _no_rows(prep_out, tmp_path):
+        """ds1's test split with every row taken out."""
+        with np.load(prep_out / "ds1.test.npz") as data:
+            arrays = {name: data[name] if name == "meta" else data[name][:0]
+                      for name in data.files}
+        path = tmp_path / "empty.npz"
+        np.savez(path, **arrays)
+        return path
+
+    def test_train_with_a_missing_split_exits_2_naming_key_and_path(
+            self, trained, tmp_path, capsys):
+        config, prep_out, _ = trained
+        missing = tmp_path / "nope.npz"
+        assert self._train(config, missing, prep_out / "ds1.test.npz",
+                           tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "config key data.train" in err and str(missing) in err
+        assert not (tmp_path / "out" / "checkpoint.ufnd").exists()
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--data"])
+    def test_eval_with_a_missing_file_exits_2_naming_flag_and_path(
+            self, flag, trained, tmp_path, capsys):
+        _, prep_out, checkpoint = trained
+        missing = tmp_path / "nope"
+        files = {"--checkpoint": checkpoint,
+                 "--data": prep_out / "ds1.test.npz", flag: missing}
+        assert self._eval(files["--checkpoint"], files["--data"],
+                          tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: cannot read" in err and str(missing) in err
+        assert not (tmp_path / "out" / "metrics.txt").exists()
+
+    def test_train_on_a_split_with_no_rows_exits_2_naming_it(
+            self, trained, tmp_path, capsys):
+        config, prep_out, _ = trained
+        empty = self._no_rows(prep_out, tmp_path)
+        assert self._train(config, empty, prep_out / "ds1.test.npz",
+                           tmp_path) == 2
+        assert f"{empty}: holds no rows" in capsys.readouterr().err
+
+    def test_eval_on_a_split_with_no_rows_exits_2_naming_it(
+            self, trained, tmp_path, capsys):
+        _, prep_out, checkpoint = trained
+        empty = self._no_rows(prep_out, tmp_path)
+        assert self._eval(checkpoint, empty, tmp_path) == 2
+        assert f"{empty}: holds no rows" in capsys.readouterr().err
+
+    def test_checkpoint_from_before_best_mode_was_retired_evaluates(
+            self, trained, tmp_path):
+        """Either old `best_mode` gives the metrics of today's format,
+        which holds no `model/` copy of the weights."""
+        _, prep_out, checkpoint = trained
+        data = prep_out / "ds1.test.npz"
+        assert self._eval(checkpoint, data, tmp_path / "new") == 0
+        expected = (tmp_path / "new" / "out" / "metrics.txt").read_text()
+        for mode in ("rollback", "select"):
+            old = tmp_path / f"{mode}.ufnd"
+            save_checkpoint(legacy_checkpoint(load_checkpoint(checkpoint),
+                                              mode), old)
+            assert self._eval(old, data, tmp_path / mode) == 0
+            assert (tmp_path / mode / "out" / "metrics.txt").read_text() \
+                == expected
 
 
 def write_unify_config(tmp_path, config_text, prep_out, baseline, keys):

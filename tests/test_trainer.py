@@ -5,13 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import small_batch, small_model, toy_model_config
+from conftest import (legacy_checkpoint, small_batch, small_model,
+                      toy_model_config)
 from ufnd import trainer
 from ufnd.autograd import Tensor, no_grad
 from ufnd.checkpoint import load_checkpoint, save_checkpoint
 from ufnd.classifier import HeadConfig
 from ufnd.encoder import EncoderConfig, select_blocks
-from ufnd.errors import ArgumentError, ShapeError
+from ufnd.errors import ArgumentError, IncompatibilityError, ShapeError
 from ufnd.model import Model, desk_config
 from ufnd.numerics import AdamState, RngStreams, grad_check, nll_loss
 from ufnd.textprep import CLS_ID, EncodedDataset
@@ -41,8 +42,6 @@ class TestTrainConfig:
             TrainConfig(seed=0, lr=0.0)
         with pytest.raises(ArgumentError):
             TrainConfig(seed=0, batch_size=1)
-        with pytest.raises(ArgumentError):
-            TrainConfig(seed=0, best_mode="other")
 
     @pytest.mark.parametrize("field", ["lr", "clip"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -124,16 +123,6 @@ class TestTrainLoop:
         assert evaluate(model, split_data.test).accuracy == \
             report.best_val_accuracy
 
-    def test_select_mode_still_records_best(self, toy_split):
-        split_data, vocab = toy_split
-        model = Model(toy_model_config(len(vocab)), RngStreams(3))
-        ckpt, report = train(model, split_data.train, split_data.test,
-                             small_train_cfg(seed=3, epochs=5,
-                                             best_mode="select"))
-        best_model, _ = model_from_checkpoint(ckpt, which="best")
-        assert evaluate(best_model, split_data.test).accuracy == \
-            pytest.approx(report.best_val_accuracy)
-
     def test_freeze_encoder_leaves_encoder_unchanged(self, toy_split):
         split_data, vocab = toy_split
         model = Model(toy_model_config(len(vocab)), RngStreams(4))
@@ -141,8 +130,7 @@ class TestTrainLoop:
                   for p in model.encoder_params.parameters()}
         head_before = model.head_params.l1_w.data.copy()
         train(model, split_data.train, split_data.test,
-              small_train_cfg(seed=4, epochs=2, freeze_encoder=True,
-                              best_mode="select"))
+              small_train_cfg(seed=4, epochs=2, freeze_encoder=True))
         for p in model.encoder_params.parameters():
             np.testing.assert_array_equal(p.data, before[p.name])
         assert not np.array_equal(model.head_params.l1_w.data, head_before)
@@ -228,8 +216,7 @@ class TestResume:
         def run(epochs, ds, resume=None):
             model = Model(cfg, RngStreams(17))
             return train(model, ds, split_data.test,
-                         small_train_cfg(seed=17, epochs=epochs, clip=1e9,
-                                         best_mode="select"),
+                         small_train_cfg(seed=17, epochs=epochs, clip=1e9),
                          resume=resume)
 
         def two_calls():
@@ -248,15 +235,24 @@ class TestResume:
 
         monkeypatch.setattr(trainer, "clip_global_norm", clip_dense)
         dense, dense_report = two_calls()
-        table = "encoder/token_embedding"
-        moved = (by_rows.tensors["model/" + table]
-                 != mid.tensors["model/" + table]).any(axis=1)
+        # Rollback may undo the second call's weights, but not its moments.
+        moment = "adam/encoder/token_embedding/m"
+        moved = (by_rows.tensors[moment] != mid.tensors[moment]).any(axis=1)
         assert moved[CLS_ID + 1:shift].any() and moved[shift:].any()
         assert by_rows_report.loss_trace() == dense_report.loss_trace()
         assert by_rows.tensors.keys() == dense.tensors.keys()
         for name in dense.tensors:
             np.testing.assert_array_equal(by_rows.tensors[name],
                                           dense.tensors[name], err_msg=name)
+
+    def test_checkpoint_stores_the_weights_once(self, toy_split):
+        split_data, vocab = toy_split
+        model = Model(toy_model_config(len(vocab)), RngStreams(8))
+        ckpt, _ = train(model, split_data.train, split_data.test,
+                        small_train_cfg(seed=8, epochs=1))
+        assert {name.split("/")[0] for name in ckpt.tensors} == \
+            {"best", "adam"}
+        assert "best_mode" not in ckpt.config["train"]
 
     def test_model_roundtrip_through_file(self, toy_split, tmp_path):
         split_data, vocab = toy_split
@@ -278,13 +274,15 @@ class TestResume:
     def test_header_with_retired_train_fields_loads(self, toy_split,
                                                      tmp_path):
         """Checkpoints written while `TrainConfig` still had
-        `dropout_rate`, `max_seq_len` and `preprocessing_enabled` load."""
+        `dropout_rate`, `max_seq_len`, `preprocessing_enabled` and
+        `best_mode` load."""
         split_data, vocab = toy_split
         model = Model(toy_model_config(len(vocab)), RngStreams(8))
         cfg = small_train_cfg(seed=8, epochs=1)
         ckpt, _ = train(model, split_data.train, split_data.test, cfg)
         ckpt.config["train"].update(dropout_rate=0.1, max_seq_len=16,
-                                    preprocessing_enabled=True)
+                                    preprocessing_enabled=True,
+                                    best_mode="rollback")
         path = tmp_path / "old.ufnd"
         save_checkpoint(ckpt, path)
         restored, restored_cfg = model_from_checkpoint(load_checkpoint(path))
@@ -292,6 +290,66 @@ class TestResume:
         np.testing.assert_array_equal(predict_dataset(restored,
                                                       split_data.test),
                                       predict_dataset(model, split_data.test))
+
+
+class TestLegacyCheckpoint:
+    SEED = 31
+
+    @pytest.fixture
+    def saved(self, toy_split, tmp_path):
+        """`save(best_mode)` writes the 2-epoch checkpoint, in the format
+        before `best_mode` was retired unless `best_mode` is None, and
+        returns its path."""
+        split_data, vocab = toy_split
+        mid, _ = train(Model(toy_model_config(len(vocab)),
+                             RngStreams(self.SEED)),
+                       split_data.train, split_data.test,
+                       small_train_cfg(seed=self.SEED, epochs=2))
+
+        def save(best_mode=None):
+            path = tmp_path / f"{best_mode}.ufnd"
+            save_checkpoint(mid if best_mode is None
+                            else legacy_checkpoint(mid, best_mode), path)
+            return path
+        return save
+
+    @staticmethod
+    def _log_probs(path, ds):
+        model, _ = model_from_checkpoint(load_checkpoint(path))
+        with no_grad():
+            return model.forward(ds.ids, ds.mask, "eval").data
+
+    def _resume(self, path, split_data, vocab):
+        model = Model(toy_model_config(len(vocab)), RngStreams(self.SEED))
+        return train(model, split_data.train, split_data.test,
+                     small_train_cfg(seed=self.SEED, epochs=4),
+                     resume=load_checkpoint(path))
+
+    def test_rollback_checkpoint_evaluates_and_resumes_as_a_new_one(
+            self, saved, toy_split):
+        split_data, vocab = toy_split
+        new, old = saved(), saved("rollback")
+        np.testing.assert_array_equal(self._log_probs(old, split_data.test),
+                                      self._log_probs(new, split_data.test))
+        new_ckpt, new_report = self._resume(new, split_data, vocab)
+        old_ckpt, old_report = self._resume(old, split_data, vocab)
+        assert old_report.loss_trace() == new_report.loss_trace()
+        assert old_ckpt.config == new_ckpt.config
+        assert old_ckpt.meta == new_ckpt.meta
+        assert old_ckpt.tensors.keys() == new_ckpt.tensors.keys()
+        for name in new_ckpt.tensors:
+            np.testing.assert_array_equal(old_ckpt.tensors[name],
+                                          new_ckpt.tensors[name],
+                                          err_msg=name)
+
+    def test_select_checkpoint_evaluates_but_does_not_resume(
+            self, saved, toy_split):
+        split_data, vocab = toy_split
+        new, old = saved(), saved("select")
+        np.testing.assert_array_equal(self._log_probs(old, split_data.test),
+                                      self._log_probs(new, split_data.test))
+        with pytest.raises(IncompatibilityError, match="best_mode='select'"):
+            self._resume(old, split_data, vocab)
 
 
 class TestEstimateCost:
