@@ -3,8 +3,9 @@
 Tensors wrap float32 (or float64) numpy arrays and record a backward
 closure per operation.  Calling ``backward()`` on a scalar output walks
 the graph in reverse topological order and accumulates gradients into
-every leaf tensor with ``requires_grad`` set.  Inside ``no_grad()`` no
-graph is recorded.
+every leaf tensor with ``requires_grad`` set, freeing the graph as it
+goes, so a graph takes one backward.  Inside ``no_grad()`` no graph is
+recorded.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -102,9 +103,13 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from this (scalar or any-shape) tensor.
 
-        A node made by an op drops its gradient once it has handed it to
-        its inputs, so a backward holds the gradients of the nodes not yet
-        reached, not of the whole graph; leaves keep theirs.
+        The graph is freed as the walk goes: once a node made by an op has
+        handed its gradient to its inputs, it drops that gradient, its
+        backward closure and its links to its inputs.  So the arrays a
+        block's backward reads are freed while the blocks before it are
+        still back-propagating, and a backward holds the gradients of the
+        nodes not yet reached; leaves keep theirs.  A second backward
+        through a freed node raises `ContractError`.
         """
         topo = []
         visited = set()
@@ -122,10 +127,18 @@ class Tensor:
                 if id(parent) not in visited and parent.requires_grad:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:  # popped, so the list keeps no node alive behind the walk
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
-                node.grad = None
+            node.grad, node._parents, node._backward = None, (), _freed
+
+
+def _freed(g):
+    raise ContractError("backward: the graph was freed by an earlier "
+                        "backward; run the forward again")
 
 
 _GRAD_SLOT = Tensor.grad
@@ -225,11 +238,17 @@ def _give(*pairs: tuple[Tensor, np.ndarray]) -> None:
             tensor.accumulate_grad(grad)
 
 
-def _affine(x: np.ndarray, weight: Tensor, bias: Tensor):
+def _affine(x: np.ndarray, weight: Tensor, bias: Tensor, rebuild=None):
     """`x @ weight.T + bias` for a 2-D `x`, as one product.  `grads(g)`
-    hands `weight` and `bias` their gradients and returns the input's."""
+    hands `weight` and `bias` their gradients and returns the input's.
+    It keeps `x` for the weight gradient, or with `rebuild` keeps only
+    that zero-argument function, which must return `x` again."""
+    # `grads` reads `x` only through `saved`, so with `rebuild` it holds
+    # no reference to `x`.
+    saved = (lambda: x) if rebuild is None else rebuild
+
     def grads(g):
-        _give((weight, g.T @ x), (bias, g.sum(axis=0)))
+        _give((weight, g.T @ saved()), (bias, g.sum(axis=0)))
         return g @ weight.data
 
     out = x @ weight.data.T

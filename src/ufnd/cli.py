@@ -366,6 +366,9 @@ def cmd_prep(args) -> int:
             label_mapping=_required(config, prefix + ".label_mapping",
                                     LABEL_PAIRS))
         name = config.get(prefix + ".name", prefix)
+        if name in ("", ".", "..") or any(c in name for c in "/\\"):
+            raise SchemaError(f"config key {prefix}.name: {name!r} is not a "
+                              f"plain file name")
         if name in names:  # files are written per name, so rows would be lost
             raise SchemaError(f"config key {prefix}.name: {name!r} is "
                               f"already the name of {names[name]}")

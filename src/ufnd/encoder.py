@@ -16,8 +16,8 @@ from . import autograd as ag
 from .autograd import Parameter, Tensor, _affine, _give
 from .errors import ArgumentError, ContractError, ShapeError
 # gelu, layer_norm and masked_softmax: unused, but bench/spans.py wraps them.
-from .numerics import (_gelu, _layer_norm, _masked_softmax, dropout,  # noqa
-                       gelu, layer_norm, masked_softmax, param_maker)
+from .numerics import (_gelu, _gelu_slope, _layer_norm, _masked_softmax,  # noqa
+                       dropout, gelu, layer_norm, masked_softmax, param_maker)
 
 LN_EPS = 1e-5
 
@@ -271,16 +271,18 @@ def self_attention(queries: Tensor, hidden: Tensor, layout: Layout,
 
 
 def feed_forward(x: Tensor, bp: BlockParams) -> Tensor:
-    """Linear, GELU, linear on the rows of a 2-D `x`, as one op; the
-    GELU's CDF is kept for the backward.  The GELU uses erf, not the tanh
-    form; float32 `erf` is a clamped rational fit, and the CDF's error is
-    under 3e-7."""
+    """Linear, GELU, linear on the rows of a 2-D `x`, as one op.  The
+    backward keeps the pre-activation and the GELU's CDF, and rebuilds the
+    GELU's output from them (bitwise, as the forward's own multiply) for
+    the second weight's gradient.  The GELU uses erf, not the tanh form;
+    float32 `erf` is a clamped rational fit, and the CDF's error is under
+    3e-7."""
     pre, pre_grads = _affine(x.data, bp.w1, bp.b1)
-    act, slope = _gelu(pre)
-    out_data, out_grads = _affine(act, bp.w2, bp.b2)
+    act, cdf = _gelu(pre)
+    out_data, out_grads = _affine(act, bp.w2, bp.b2, lambda: pre * cdf)
 
     def bwd(g):
-        _give((x, pre_grads(out_grads(g) * slope())))
+        _give((x, pre_grads(out_grads(g) * _gelu_slope(pre, cdf))))
 
     return Tensor(out_data, _parents=(x, bp.w1, bp.b1, bp.w2, bp.b2),
                   _backward=bwd)

@@ -69,13 +69,14 @@ def relu(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the erf form of Phi, not the tanh approximation.
     Float32 `erf` is a clamped rational fit; Phi's error is under 3e-7."""
-    out_data, slope = _gelu(x.data)
-    return Tensor(out_data, _parents=(x,),
-                  _backward=lambda g: _give((x, g * slope())))
+    out_data, cdf = _gelu(x.data)
+    return Tensor(out_data, _parents=(x,), _backward=lambda g: _give(
+        (x, g * _gelu_slope(x.data, cdf))))
 
 
 def _gelu(x: np.ndarray):
-    """`gelu` on arrays; `slope()` is d/dx x * Phi(x)."""
+    """`gelu` on arrays: the output and the CDF Phi(x).  The output is
+    bitwise `x * cdf`."""
     # cdf = 0.5 * (1 + erf(x / sqrt 2)) and out = x * cdf, built 64K
     # values at a time so each slice is still in cache for the next pass.
     cdf = np.empty(x.shape, x.dtype)
@@ -86,18 +87,19 @@ def _gelu(x: np.ndarray):
         cs += 1.0
         cs *= 0.5
         np.multiply(xs, cs, out=os_)
+    return out, cdf
 
-    def slope():
-        # cdf + x * exp(-x^2 / 2) / sqrt(2 pi), built in one buffer.
-        p = x * x
-        p *= -0.5
-        np.exp(p, out=p)
-        p /= math.sqrt(2.0 * math.pi)
-        p *= x
-        p += cdf
-        return p
 
-    return out, slope
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx x * Phi(x), from `_gelu`'s CDF: cdf + x * exp(-x^2 / 2) /
+    sqrt(2 pi), built in one buffer."""
+    p = x * x
+    p *= -0.5
+    np.exp(p, out=p)
+    p /= math.sqrt(2.0 * math.pi)
+    p *= x
+    p += cdf
+    return p
 
 
 def _slices(a: np.ndarray) -> list[np.ndarray]:
@@ -199,9 +201,9 @@ def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
     xhat = x - x.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
     xhat *= inv_std
+    d = x.shape[-1]
 
     def grads(g):
-        d = x.shape[-1]
         _give((gain, (g * xhat).reshape(-1, d).sum(axis=0)),
               (bias, g.reshape(-1, d).sum(axis=0)))
         gx = g * gain.data
@@ -221,8 +223,10 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator,
     The mask is drawn at `corner` (by default `x.shape`).  With
     `draw_shape`, that is the leading corner of a `draw_shape` draw: `rng`
     ends where the full draw would leave it, but only the corner's values
-    are drawn.  With `rows`, `x` holds just those rows of the corner seen
-    as [-1, x.shape[-1]], and each gets its row's mask values.
+    are drawn.  With `rows`, `x` holds just those rows of a `(B, W, D)`
+    corner seen as [B * W, D], and each gets its row's mask values; each
+    of the B leading rows is drawn only up to its last position in `rows`.
+    The mask is kept as bool.
     """
     if not 0.0 <= rate < 1.0:
         raise ArgumentError(f"dropout rate must be in [0, 1), got {rate}")
@@ -231,11 +235,15 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator,
     if mode != "train":
         raise ArgumentError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
     draws = np.empty(corner or x.shape)
-    _draw_corner(rng, draws, tuple(draw_shape or draws.shape))
-    keep = draws >= rate
-    if rows is not None:
-        keep = keep.reshape(-1, x.shape[-1])[rows]
-    keep = keep.reshape(x.shape).astype(x.dtype)
+    full = tuple(draw_shape or draws.shape)
+    if rows is None:
+        _draw_corner(rng, draws, full)
+    else:  # past each row's end nothing is drawn, so compare only `rows`
+        ends = np.zeros(draws.shape[0], dtype=np.intp)
+        np.maximum.at(ends, rows // draws.shape[1], rows % draws.shape[1] + 1)
+        _draw_corner(rng, draws, full, ends)
+        draws = draws.reshape(-1, x.shape[-1])[rows]
+    keep = (draws >= rate).reshape(x.shape)
     scale = 1.0 / (1.0 - rate)
     out_data = x.data * keep * scale
 
@@ -246,12 +254,16 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator,
     return Tensor(out_data, _parents=(x,), _backward=bwd)
 
 
-def _draw_corner(rng: np.random.Generator, out: np.ndarray,
-                 full: tuple) -> None:
+def _draw_corner(rng: np.random.Generator, out: np.ndarray, full: tuple,
+                 ends: np.ndarray | None = None) -> None:
     """Fill `out` with the leading corner of `rng.random(full)`, skipping
     the values outside it with `advance`: `random` fills in C order and
-    takes one 64-bit output per float64 value."""
-    if out.shape[1:] == full[1:]:
+    takes one 64-bit output per float64 value.  With `ends`, only
+    `out[i, :ends[i]]` is filled, and the rest of each row is skipped."""
+    if ends is not None:
+        for row, end in zip(out, ends):
+            _draw_corner(rng, row[:end], full[1:])
+    elif out.shape[1:] == full[1:]:
         rng.random(out=out)
     else:
         for row in out:

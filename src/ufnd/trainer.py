@@ -224,8 +224,10 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, TrainConfig]:
 def _train_step(model: Model, params: list, adam: dict, cfg: TrainConfig,
                 ds: EncodedDataset, idx: np.ndarray) -> tuple[float, float]:
     """One minibatch step; returns the loss and the pre-clip gradient
-    norm.  The step's graph and every node's grad are freed on return,
-    before the next forward or the epoch's validation."""
+    norm.  `loss.backward()` frees the graph block by block as it runs,
+    and the graph takes no second backward.  Only `out` and `loss`
+    themselves outlive it, and they are freed on return, before the next
+    forward or the epoch's validation."""
     model.zero_grad()
     out = model.forward(ds.ids[idx], ds.mask[idx], "train")
     loss = nll_loss(out, ds.labels[idx])

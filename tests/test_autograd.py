@@ -6,7 +6,7 @@ import pytest
 from ufnd import autograd as ag
 from ufnd.autograd import Parameter, Tensor
 from ufnd.encoder import EncoderParams, Layout, embed
-from ufnd.errors import ShapeError
+from ufnd.errors import ContractError, ShapeError
 
 
 def mul(x, y):
@@ -172,6 +172,21 @@ class TestNoGrad:
         assert hidden.grad is None and out.grad is None
         np.testing.assert_array_equal(x.grad, np.full((4, 2), 6.0))
         np.testing.assert_array_equal(b.grad, np.full(3, 8.0))
+
+    def test_a_second_backward_through_a_freed_graph_raises(self):
+        x = Parameter(np.ones((4, 2), dtype=np.float32), "x")
+        w = Parameter(np.ones((3, 2), dtype=np.float32), "w")
+        b = Parameter(np.zeros(3, dtype=np.float32), "b")
+        hidden = ag.linear(x, w, b)
+        out = mul(hidden, 2.0)
+        out.backward()
+        assert hidden._parents == () and out._parents == ()
+        grad = x.grad.copy()
+        with pytest.raises(ContractError, match="freed"):
+            out.backward()
+        with pytest.raises(ContractError, match="freed"):
+            mul(hidden, 3.0).backward()  # a new op on a freed node
+        np.testing.assert_array_equal(x.grad, grad)
 
     def test_no_grad_holds_in_its_own_thread_only(self):
         w = Parameter(np.ones((2, 2), dtype=np.float32), "w")

@@ -591,6 +591,19 @@ class TestPrepCommand:
         assert not list(out.glob("*.npz"))
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("name", ["sub/ds", "..", ".", "a\\b", ""])
+    def test_dataset_name_that_is_no_file_stem_exits_2_before_any_file(
+            self, name, tmp_path, capsys):
+        config = write_prep_config(tmp_path, write_datasets(tmp_path))
+        config.write_text(config.read_text().replace(
+            "data1.name = ds1", f"data1.name = {name}"))
+        out = tmp_path / "out"
+        assert main(["prep", "--config", str(config),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config key data1.name" in err and repr(name) in err
+        assert not out.exists() or not list(out.rglob("*"))
+
     def test_missing_data_key_fails(self, tmp_path):
         config = tmp_path / "c.cfg"
         config.write_text("train.seed = 1\n")

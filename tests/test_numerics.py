@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from ufnd.autograd import Parameter, Tensor
+from ufnd.encoder import Layout
 from ufnd.errors import ArgumentError, NonFiniteError
 from ufnd.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                            RngStreams, adam_step, assert_all_finite,
                            clip_global_norm, dropout, gelu, grad_check,
                            layer_norm, log_softmax, masked_softmax, nll_loss,
                            relu, xavier_init)
-from ufnd.numerics import _erf, _gelu, _masked_softmax
+from ufnd.numerics import (_draw_corner, _erf, _gelu, _gelu_slope,
+                           _masked_softmax)
 
 EPS32 = float(np.finfo(np.float32).eps)
 
@@ -104,14 +106,15 @@ class TestGelu:
         x = np.linspace(-12.0, 12.0, 240_001, dtype=np.float32)
         clamp = np.float32(4.0 * math.sqrt(2.0))
         x = np.concatenate([x, [-clamp, clamp]]).astype(np.float32)
-        out, slope = _gelu(x)
+        out, ours_cdf = _gelu(x)
         x64 = x.astype(np.float64)
         cdf = _exact_cdf(x64)
         pdf = np.exp(-0.5 * x64 ** 2) / math.sqrt(2.0 * math.pi)
         bound = 4 * EPS32 * np.maximum(1.0, np.abs(x64))
         assert out.dtype == np.float32
         assert np.all(np.abs(out - x64 * cdf) <= bound)
-        assert np.all(np.abs(slope() - (cdf + x64 * pdf)) <= bound)
+        assert np.all(np.abs(_gelu_slope(x, ours_cdf) - (cdf + x64 * pdf))
+                      <= bound)
         ours = x / np.float32(math.sqrt(2.0))
         _erf(ours)
         ours += 1.0
@@ -127,13 +130,13 @@ class TestGelu:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_slope_is_bitwise_the_unfused_expression(self, dtype):
         x = np.random.default_rng(5).standard_normal((40, 16)).astype(dtype)
-        _, slope = _gelu(x)
+        _, ours_cdf = _gelu(x)
         cdf = x / math.sqrt(2.0)
         _erf(cdf)
         cdf += 1.0
         cdf *= 0.5
         pdf = np.exp(-0.5 * x ** 2) / math.sqrt(2.0 * math.pi)
-        got = slope()
+        got = _gelu_slope(x, ours_cdf)
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, cdf + x * pdf)
 
@@ -143,15 +146,17 @@ class TestGelu:
                                                             size):
         x = (np.random.default_rng(size).standard_normal(size) * 3
              ).astype(dtype)
-        out, slope = _gelu(x)
+        out, ours_cdf = _gelu(x)
         cdf = x / math.sqrt(2.0)
         _erf(cdf)
         cdf += 1.0
         cdf *= 0.5
         assert out.dtype == dtype
-        np.testing.assert_array_equal(out, x * cdf)
+        np.testing.assert_array_equal(ours_cdf, cdf)
+        # feed_forward's backward rebuilds the output as this product
+        np.testing.assert_array_equal(out, x * ours_cdf)
         pdf = np.exp(-0.5 * x ** 2) / math.sqrt(2.0 * math.pi)
-        np.testing.assert_array_equal(slope(), cdf + x * pdf)
+        np.testing.assert_array_equal(_gelu_slope(x, ours_cdf), cdf + x * pdf)
 
 
 def test_import_does_not_load_scipy():
@@ -258,6 +263,50 @@ class TestDropout:
         keep = (draws >= 0.4).astype(x.dtype)
         np.testing.assert_array_equal(out.data, x * keep * (1.0 / 0.6))
         assert rng.bit_generator.state == full_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_layouts_match_the_full_corner_draw(self, seed):
+        """Masks with holes and full rows, packed as the encoder packs
+        them, and the pooled `(B, 1, D)` corner: output, gradient and the
+        stream's end are bitwise those of a float mask cut from the whole
+        `draw_shape` draw."""
+        r = np.random.default_rng(seed)
+        batch, max_len, d = (int(n) for n in r.integers(1, 6, 3) + (0, 1, 0))
+        width = int(r.integers(1, max_len + 1))
+        mask = (r.random((batch, width)) < r.random()).astype(np.float32)
+        mask[r.random(batch) < 0.3] = 1.0
+        mask[:, 0] = 1.0
+        layout = Layout(mask)
+        draw_shape = (batch, max_len, d)
+        cases = [((batch, width, d), layout.index),
+                 ((batch, width, d), np.arange(batch * width)),
+                 ((batch, 1, d), None)]
+        for corner, rows in cases:
+            n = batch * corner[1] if rows is None else rows.size
+            x = Parameter(r.standard_normal((n, d)).astype(np.float32), "x")
+            rng = np.random.default_rng(seed + 100)
+            out = dropout(x, 0.3, "train", rng, draw_shape, corner, rows)
+            out.backward()
+            full_rng = np.random.default_rng(seed + 100)
+            draws = full_rng.random(draw_shape)[:, :corner[1]].reshape(-1, d)
+            keep = (draws if rows is None else draws[rows]) >= 0.3
+            keep = keep.astype(np.float32)
+            scale = 1.0 / 0.7
+            np.testing.assert_array_equal(out.data, x.data * keep * scale)
+            np.testing.assert_array_equal(
+                x.grad, np.ones((n, d), np.float32) * keep * scale)
+            assert rng.bit_generator.state == full_rng.bit_generator.state
+
+    def test_rows_are_drawn_only_up_to_their_end(self):
+        full = (3, 5, 2)
+        out = np.full((3, 4, 2), np.nan)
+        rng = np.random.default_rng(4)
+        _draw_corner(rng, out, full, np.array([4, 0, 2]))
+        want = np.random.default_rng(4).random(full)[:, :4]
+        np.testing.assert_array_equal(out[0], want[0])
+        np.testing.assert_array_equal(out[2, :2], want[2, :2])
+        assert np.isnan(out[1]).all() and np.isnan(out[2, 2:]).all()
+        assert rng.random() == np.random.default_rng(4).random(31)[-1]
 
 
 class TestMaskedSoftmax:

@@ -1,5 +1,7 @@
 import os
 import threading
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +9,13 @@ import pytest
 
 from conftest import (legacy_checkpoint, small_batch, small_model,
                       toy_model_config)
-from ufnd import trainer
+from ufnd import encoder, trainer
 from ufnd.autograd import Tensor, no_grad
 from ufnd.checkpoint import load_checkpoint, save_checkpoint
 from ufnd.classifier import HeadConfig
 from ufnd.encoder import EncoderConfig, select_blocks
-from ufnd.errors import ArgumentError, IncompatibilityError, ShapeError
+from ufnd.errors import (ArgumentError, ContractError, IncompatibilityError,
+                         ShapeError)
 from ufnd.model import Model, desk_config
 from ufnd.numerics import AdamState, RngStreams, grad_check, nll_loss
 from ufnd.textprep import CLS_ID, EncodedDataset
@@ -457,6 +460,57 @@ class TestStepGraph:
         trainer._train_step(model, params, adam, small_train_cfg(), ds,
                             np.arange(len(ds)))
         assert count == tensors
+
+    def test_backward_frees_the_graph_while_the_loss_lives(self,
+                                                           monkeypatch):
+        ids, mask, labels = small_batch()
+        model = small_model()
+        attention, made = encoder.self_attention, []
+
+        def recording(*args):  # a Tensor takes no weakref; its array does
+            out = attention(*args)
+            made.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(encoder, "self_attention", recording)
+        loss = nll_loss(model.forward(ids, mask, "train"), labels)
+        assert len(made) == 2 and all(ref() is not None for ref in made)
+        loss.backward()
+        assert all(ref() is None for ref in made)
+        with pytest.raises(ContractError):
+            loss.backward()
+
+    # The peak measured with the graph freed during backward was 20.3 MB;
+    # keeping every node's arrays until the step returned took 28.1 MB.
+    STEP_BUDGET_MB = 22.5
+
+    def test_desk_step_fits_its_memory_budget(self):
+        """tracemalloc peak of one desk train step on 2 full rows of 120
+        positions, about 10 % over the measured peak."""
+        rng = np.random.default_rng(0)
+        ids = rng.integers(3, 200, size=(2, 120)).astype(np.int32)
+        ids[:, 0] = CLS_ID
+        mask = np.ones((2, 120), dtype=np.float32)
+        ds = EncodedDataset(ids=ids, mask=mask, labels=np.array([0, 1]),
+                            true_lengths=np.full(2, 120), vocab_hash="",
+                            max_seq_len=120)
+        model = Model(desk_config(vocab_size=200, max_seq_len=120),
+                      RngStreams(3))
+        params = model.parameters()
+        adam = {p.name: AdamState.for_param(p) for p in params}
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            trainer._train_step(model, params, adam, small_train_cfg(), ds,
+                                np.arange(2))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / 1e6 <= self.STEP_BUDGET_MB
 
 
 class TestGraphFreeInference:
