@@ -40,6 +40,10 @@ class NonFiniteError(UfndError):
         super().__init__(f"non-finite value detected in '{name}'")
         self.name = name
 
+    def __reduce__(self):
+        # The default rebuilds from `args`, the formatted message.
+        return type(self), (self.name,)
+
 
 class IntegrityError(UfndError):
     """A checkpoint file is corrupt (checksum or structure mismatch)."""

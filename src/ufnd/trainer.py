@@ -117,6 +117,14 @@ def batch_iterator(n: int, batch_size: int, epoch: int, seed: int):
 BLOCK_POSITIONS = 1536
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def predict_dataset(model: Model, ds: EncodedDataset) -> np.ndarray:
     """The predicted class of each row of `ds`.
 
@@ -133,9 +141,7 @@ def predict_dataset(model: Model, ds: EncodedDataset) -> np.ndarray:
     size = max(1, BLOCK_POSITIONS // ds.max_seq_len)
     starts = range(0, len(ds), size)
     preds, errors = [None] * len(starts), [None] * len(starts)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    n_threads = max(1, min(cpus, len(starts)))
+    n_threads = max(1, min(usable_cpus(), len(starts)))
 
     def score(first_block: int) -> None:
         with no_grad():

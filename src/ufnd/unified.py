@@ -5,16 +5,17 @@ ablation harness."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 from .checkpoint import Checkpoint
 from .encoder import param_count, select_blocks
-from .errors import ArgumentError
+from .errors import ArgumentError, UfndError
 from .metrics import Metrics, POSITIVE_CLASS_NOTE
 from .model import Model, ModelConfig
 from .numerics import RngStreams
 from .textprep import EncodedDataset
-from .trainer import TrainConfig, TrainReport, train
+from .trainer import TrainConfig, TrainReport, train, usable_cpus
 
 DEFAULT_BATCH_SIZES = (16, 32, 64, 128, 256, 512, 1024)
 DEFAULT_BLOCK_SUBSETS = ((1, 3, 5, 7, 9, 11), (1, 5, 9), (1, 9), (5,))
@@ -93,25 +94,139 @@ def _cell_seed(base_seed: int, dataset: int, batch: int) -> int:
     return base_seed + 1_009 * dataset + batch
 
 
-def sweep(split: EncodedSplit, batch_sizes, run
-          ) -> tuple[list[TrainedCell], TrainedCell, Checkpoint, TrainReport]:
-    """Call `run(batch) -> (checkpoint, report)` at each batch size; return
-    one cell per run, plus the cell, checkpoint and report of the first run
-    with the highest best validation accuracy.  Only that run's checkpoint
-    is kept while the sweep goes on."""
+def run_cells(labels: list[str], train_cell, fold) -> None:
+    """Train cell `i` of `labels` by `train_cell(i)` and hand its result
+    to `fold(i, result)` in this process as results come in, in no set
+    order.
+
+    Of n `usable_cpus()`, this process trains the cells with i % n == 0,
+    and one forked worker per further CPU trains another residue class,
+    each in cell order; at one CPU, or without `fork`, this process trains
+    them all.  Every cell is seeded, so the process that trains it changes
+    nothing.  Each process stops at its first error; once all are done,
+    the first error in cell order is raised: the cell's own exception, or
+    a `UfndError` naming the cell whose worker died.  No worker outlives
+    the call.
+    """
+    n = min(usable_cpus(), len(labels)) if hasattr(os, "fork") else 1
+    errors = {}
+
+    def share(k):
+        # (i, ok, result or exception) for cells k, k + n, ... up to the
+        # first error
+        for i in range(k, len(labels), n):
+            try:
+                yield i, True, train_cell(i)
+            except Exception as exc:
+                yield i, False, exc
+                return
+
+    def take(i, ok, value):
+        if ok:
+            fold(i, value)
+        else:
+            errors[i] = value
+
+    if n > 1:
+        _run_forked(labels, n, share, take)
+    else:
+        for item in share(0):
+            take(*item)
+    if errors:
+        raise errors[min(errors)]
+
+
+def _run_forked(labels, n, share, take) -> None:
+    """`run_cells` on n processes: this one takes `share(0)`, and a forked
+    worker for each k in 1 .. n-1 sends the items of `share(k)` back.
+
+    A forked worker inherits the cells' data and closures, where a spawned
+    one would import the program again and be sent its inputs pickled.
+    Forking is safe here because the package leaves no thread running
+    between calls (`predict_dataset` joins its own)."""
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    # `start` flushes stdout and stderr before it forks, so no worker
+    # prints a copy of what they held.
+    ctx = multiprocessing.get_context("fork")
+    workers = {}  # pipe from a worker -> [worker, the next cell it sends]
+    try:
+        for k in range(1, n):
+            reader, writer = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=_send_all, args=(share(k), writer))
+            worker.start()
+            writer.close()  # so `reader` reads EOF once the worker is gone
+            workers[reader] = [worker, k]
+
+        def receive(timeout) -> bool:
+            ready = wait(list(workers), timeout)
+            for reader in ready:
+                worker, i = workers[reader]
+                try:
+                    item = reader.recv()
+                except EOFError:
+                    del workers[reader]
+                    reader.close()
+                    worker.join()
+                    # A worker that stopped at an error reads as dead at a
+                    # later cell, which never comes first.
+                    if i < len(labels):
+                        take(i, False, UfndError(
+                            f"{labels[i]}: the worker process training it "
+                            f"died (exit code {worker.exitcode})"))
+                    continue
+                take(*item)
+                workers[reader][1] = i + n
+            return bool(ready)
+
+        for item in share(0):
+            take(*item)
+            while workers and receive(0):
+                pass
+        while workers:
+            receive(None)
+    finally:
+        for worker, _ in workers.values():
+            worker.terminate()
+            worker.join()
+
+
+def _send_all(items, conn) -> None:
+    for item in items:
+        conn.send(item)
+    conn.close()
+
+
+def sweep(names: list[str], batch_sizes, train_cell
+          ) -> tuple[list[TrainedCell], list[tuple[TrainedCell, object]]]:
+    """Train one cell per group g (on dataset `names[g]`) and batch size,
+    group by group, through `run_cells`.  `train_cell(g, batch)` returns
+    the run's report and a payload.  Return every cell in cell order and,
+    for each group, the cell and payload of its first run with the highest
+    best validation accuracy.  Only those payloads are kept while the
+    results come in."""
     if not batch_sizes:
-        raise ArgumentError(f"{split.name}: no batch sizes to sweep")
-    cells = []
-    best = None
-    for batch in batch_sizes:
-        ckpt, report = run(batch)
-        cells.append(TrainedCell(
-            dataset=split.name, batch_size=batch,
-            metrics=report.epochs[report.best_epoch - 1].val_metrics))
-        if best is None or (report.best_val_accuracy
-                            > best[2].best_val_accuracy):
-            best = (cells[-1], ckpt, report)
-    return (cells, *best)
+        raise ArgumentError(f"{', '.join(names)}: no batch sizes to sweep")
+    grid = [(g, batch) for g in range(len(names)) for batch in batch_sizes]
+    cells = [None] * len(grid)
+    best = [None] * len(names)  # per group: (accuracy, cell, payload)
+
+    def fold(i, result):
+        report, payload = result
+        g, batch = grid[i]
+        cells[i] = TrainedCell(
+            dataset=names[g], batch_size=batch,
+            metrics=report.epochs[report.best_epoch - 1].val_metrics)
+        accuracy = report.best_val_accuracy
+        if (best[g] is None or accuracy > best[g][0]
+                or (accuracy == best[g][0] and i < best[g][1])):
+            best[g] = (accuracy, i, payload)
+
+    run_cells([f"dataset {names[g]}, batch size {batch}"
+               for g, batch in grid],
+              lambda i: train_cell(*grid[i]), fold)
+    return cells, [(cells[i], payload) for _, i, payload in best]
 
 
 def phase_one(datasets: list[EncodedSplit], model_cfg: ModelConfig,
@@ -119,28 +234,33 @@ def phase_one(datasets: list[EncodedSplit], model_cfg: ModelConfig,
               threshold: float,
               batch_sizes=DEFAULT_BATCH_SIZES) -> PhaseOneResult:
     """Train the one shared configuration on every dataset, sweeping only
-    the batch size; each dataset keeps its best run (see `sweep`).  Phase 1
-    is accepted when every dataset's accuracy deficit against its baseline
-    is within the threshold."""
+    the batch size; each dataset keeps its best run (see `sweep`), as a
+    checkpoint of its `best/encoder/*` arrays, the only ones `phase_two`
+    reads.  Phase 1 is accepted when every dataset's accuracy deficit
+    against its baseline is within the threshold."""
     if threshold <= 0:
         raise ArgumentError("threshold must be positive")
     for ds in datasets:
         if ds.name not in baselines:
             raise ArgumentError(f"no baseline for dataset '{ds.name}'")
 
-    result = PhaseOneResult(accepted=False)
-    for di, ds in enumerate(datasets):
-        def run(batch):
-            cfg = replace(train_cfg, batch_size=batch,
-                          seed=_cell_seed(train_cfg.seed, di, batch))
-            model = Model(model_cfg, RngStreams(cfg.seed))
-            return train(model, ds.train, ds.test, cfg)
+    def train_cell(di, batch):
+        ds = datasets[di]
+        cfg = replace(train_cfg, batch_size=batch,
+                      seed=_cell_seed(train_cfg.seed, di, batch))
+        ckpt, report = train(Model(model_cfg, RngStreams(cfg.seed)),
+                             ds.train, ds.test, cfg)
+        return report, replace(ckpt, tensors={
+            name: arr for name, arr in ckpt.tensors.items()
+            if name.startswith("best/encoder/")})
 
-        cells, best, ckpt, _ = sweep(ds, batch_sizes, run)
-        result.cells.extend(cells)
-        result.chosen_batch_sizes[ds.name] = best.batch_size
-        result.best_metrics[ds.name] = best.metrics
-        result.deficits[ds.name] = baselines[ds.name] - best.metrics.accuracy
+    cells, best = sweep([ds.name for ds in datasets], batch_sizes,
+                        train_cell)
+    result = PhaseOneResult(accepted=False, cells=cells)
+    for ds, (cell, ckpt) in zip(datasets, best):
+        result.chosen_batch_sizes[ds.name] = cell.batch_size
+        result.best_metrics[ds.name] = cell.metrics
+        result.deficits[ds.name] = baselines[ds.name] - cell.metrics.accuracy
         result.best_checkpoints[ds.name] = ckpt
     result.accepted = all(d <= threshold for d in result.deficits.values())
     return result
@@ -174,33 +294,43 @@ def phase_two_sweep(combined: EncodedSplit, model_cfg: ModelConfig,
                     ) -> tuple[list[TrainedCell], Checkpoint, TrainReport]:
     """Run `phase_two` at each batch size through `sweep`; return every
     cell, and the checkpoint and report of the run `sweep` picks."""
-    cells, _, ckpt, report = sweep(combined, batch_sizes, lambda batch: (
-        phase_two(combined, model_cfg, replace(train_cfg, batch_size=batch),
-                  encoder_source)))
+    def train_cell(_, batch):
+        ckpt, report = phase_two(combined, model_cfg,
+                                 replace(train_cfg, batch_size=batch),
+                                 encoder_source)
+        return report, (ckpt, report)
+
+    cells, [(_, (ckpt, report))] = sweep([combined.name], batch_sizes,
+                                         train_cell)
     return cells, ckpt, report
 
 
 def ablate(combined: EncodedSplit, model_cfg: ModelConfig,
            train_cfg: TrainConfig,
            grid: AblationGrid = AblationGrid()) -> list[AblationRow]:
-    """Train one model per (block subset, batch size) cell and emit one
-    row each, ordered subsets-as-given then batch ascending."""
+    """Train one model per (block subset, batch size) cell through `sweep`
+    and emit one row each, ordered subsets-as-given then batch ascending."""
+    configs = [ModelConfig(encoder=select_blocks(model_cfg.encoder, subset),
+                           head=model_cfg.head)
+               for subset in grid.block_subsets]
+    batch_sizes = sorted(grid.batch_sizes)
+
+    def train_cell(g, batch):
+        cfg = replace(train_cfg, batch_size=batch)
+        _, report = train(Model(configs[g], RngStreams(cfg.seed)),
+                          combined.train, combined.test, cfg)
+        return report, None
+
+    blocks = [",".join(map(str, subset)) for subset in grid.block_subsets]
+    cells, _ = sweep([f"{combined.name} with blocks {b}" for b in blocks],
+                     batch_sizes, train_cell)
     rows = []
-    for subset in grid.block_subsets:
-        enc_cfg = select_blocks(model_cfg.encoder, subset)
-        mc = ModelConfig(encoder=enc_cfg, head=model_cfg.head)
-
-        def run(batch):
-            cfg = replace(train_cfg, batch_size=batch)
-            model = Model(mc, RngStreams(cfg.seed))
-            return train(model, combined.train, combined.test, cfg)
-
-        cells, *_ = sweep(combined, sorted(grid.batch_sizes), run)
-        rows.extend(AblationRow(
-            label=f"{','.join(map(str, subset))} ({c.batch_size})",
-            subset=tuple(subset), batch_size=c.batch_size,
-            metrics=c.metrics, param_count=param_count(enc_cfg))
-            for c in cells)
+    for i, c in enumerate(cells):
+        g = i // len(batch_sizes)
+        rows.append(AblationRow(
+            label=f"{blocks[g]} ({c.batch_size})",
+            subset=tuple(grid.block_subsets[g]), batch_size=c.batch_size,
+            metrics=c.metrics, param_count=param_count(configs[g].encoder)))
     return rows
 
 

@@ -1,21 +1,27 @@
 import csv
 import inspect
 import json
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import legacy_checkpoint
-from ufnd import cli
+from ufnd import cli, unified
 from ufnd.checkpoint import load_checkpoint, save_checkpoint
 from ufnd.classifier import HeadConfig
 from ufnd.cli import (KEYS, load_encoded, main, parse_config_file,
                       resolve_config, save_encoded, sha256_file)
 from ufnd.corpus import ColumnMap, combine, load_dataset, split
 from ufnd.encoder import EncoderConfig
-from ufnd.errors import ArgumentError, SchemaError
+from ufnd.errors import ArgumentError, DataError, NonFiniteError, SchemaError
 from ufnd.model import desk_config
 from ufnd.synthetic import make_synthetic_corpus, write_synthetic_csv
 from ufnd.textprep import (CLS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID,
@@ -989,6 +995,121 @@ class TestUnifyCommand:
         assert (out / "infeasibility.txt").exists()
         text = (out / "infeasibility.txt").read_text()
         assert "minimum deficit ds1" in text
+
+
+class TestCellsOnEveryCpu:
+    """`unify` and `ablate` train their cells on every CPU of the (patched)
+    affinity mask.  Cells, dataset-major: 0 (ds1, 16), 1 (ds1, 8),
+    2 (ds2, 16), 3 (ds2, 8); at 2 CPUs a worker trains cells 1 and 3."""
+
+    UNIFY_OUTPUTS = ("unified_checkpoint.ufnd", "table_per_dataset.tsv",
+                     "table_combined_prep.tsv", "phase_one.txt")
+
+    @pytest.fixture(scope="class")
+    def configs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("cells")
+        config, prep_out = run_prep(tmp_path)
+        unify_cfg = write_unify_config(
+            tmp_path, config.read_text(), prep_out, 0.5,
+            "unify.batch_sizes = 16,8\nunify.threshold = 0.5\n")
+        ablate_cfg = tmp_path / "ablate.cfg"
+        ablate_cfg.write_text(
+            config.read_text()
+            + f"combined.train = {prep_out / 'combined.train.npz'}\n"
+            + f"combined.test = {prep_out / 'combined.test.npz'}\n"
+            + "ablate.subsets = 1,2;1\nablate.batch_sizes = 16,8\n")
+        return {"unify": unify_cfg, "ablate": ablate_cfg}
+
+    @staticmethod
+    def run(command, configs, out, monkeypatch, cpus) -> int:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        rc = main([command, "--config", str(configs[command]),
+                   "--out", str(out)])
+        assert multiprocessing.active_children() == []
+        return rc
+
+    def test_outputs_do_not_depend_on_the_cpu_count(self, configs, tmp_path,
+                                                     monkeypatch):
+        written = {}
+        for cpus in (1, 2, 4):
+            for command in ("unify", "ablate"):
+                out = tmp_path / f"{command}-{cpus}"
+                assert self.run(command, configs, out, monkeypatch,
+                                cpus) == 0
+            written[cpus] = {
+                name: (tmp_path / f"unify-{cpus}" / name).read_bytes()
+                for name in self.UNIFY_OUTPUTS}
+            written[cpus]["table_ablation.tsv"] = (
+                tmp_path / f"ablate-{cpus}" / "table_ablation.tsv"
+            ).read_bytes()
+        assert written[2] == written[1]
+        assert written[4] == written[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("failing, message, code", [
+        ({(0, 8): NonFiniteError("ds1 8"), (1, 16): DataError("ds2 16")},
+         "non-finite value detected in 'ds1 8'", 1),
+        ({(0, 8): DataError("ds1 8"), (1, 8): NonFiniteError("ds2 8")},
+         "ds1 8", 2),
+        ({(1, 16): NonFiniteError("ds2 16"), (1, 8): DataError("ds2 8")},
+         "non-finite value detected in 'ds2 16'", 1),
+    ])
+    def test_first_failing_cell_in_cell_order_is_reported(
+            self, failing, message, code, cpus, configs, tmp_path,
+            monkeypatch, capsys):
+        train = unified.train
+        cells = {unified._cell_seed(7, dataset, batch): (dataset, batch)
+                 for dataset in (0, 1) for batch in (16, 8)}
+
+        def failing_train(model, train_ds, val_ds, cfg):
+            if cells.get(cfg.seed) in failing:
+                raise failing[cells[cfg.seed]]
+            return train(model, train_ds, val_ds, cfg)
+
+        monkeypatch.setattr(unified, "train", failing_train)
+        assert self.run("unify", configs, tmp_path / "out", monkeypatch,
+                        cpus) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_a_worker_that_dies_names_its_cell(self, cpus, configs,
+                                               tmp_path, monkeypatch,
+                                               capsys):
+        train, parent = unified.train, os.getpid()
+
+        def dying_train(model, train_ds, val_ds, cfg):
+            if os.getpid() != parent:
+                os._exit(3)
+            return train(model, train_ds, val_ds, cfg)
+
+        def hung(signum, frame):
+            raise AssertionError("unify still waits for a dead worker")
+
+        monkeypatch.setattr(unified, "train", dying_train)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            assert self.run("unify", configs, tmp_path / "out",
+                            monkeypatch, cpus) == 1
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert capsys.readouterr().err == (
+            "error: dataset ds1, batch size 8: the worker process training "
+            "it died (exit code 3)\n")
+
+    def test_unify_into_a_pipe_prints_its_last_line_once(self, configs,
+                                                         tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "ufnd", "unify", "--config",
+             str(configs["unify"]), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("phase 1 accepted")
 
 
 class TestAblateCommand:

@@ -169,6 +169,18 @@ def test_import_does_not_load_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_does_not_load_process_pools():
+    """`run_cells` imports them when it forks, not `import ufnd.cli`."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, ufnd.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' "
+            "or m.startswith('concurrent.futures')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 class TestLayerNorm:
     def _gain_bias(self, d, dtype=np.float64):
         return (Parameter(np.ones(d, dtype=dtype), "g"),

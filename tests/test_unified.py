@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +20,7 @@ from ufnd.unified import (AblationGrid, EncodedSplit, TrainedCell, ablate,
                           ablation_table, check_acceptable, load_baselines,
                           per_dataset_table, phase_one, phase_two,
                           phase_two_sweep, render_aligned, render_delimited,
-                          sweep_table)
+                          run_cells, sweep_table)
 
 
 def encoded_split(name, seed, n_docs=80, seq_len=TOY_SEQ_LEN):
@@ -32,6 +37,11 @@ def quick_train_cfg(**kw):
     base = dict(seed=7, epochs=3, batch_size=16)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def patch_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
 
 
 def constant_report():
@@ -112,6 +122,9 @@ class TestPhaseOne:
         # one cell per dataset x batch size
         assert len(result.cells) == 4
         assert set(result.best_checkpoints) == {"ds1", "ds2"}
+        for ckpt in result.best_checkpoints.values():
+            assert ckpt.tensors and all(name.startswith("best/encoder/")
+                                        for name in ckpt.tensors)
 
     def test_infeasible_reports_minimum_deficits(self):
         datasets, vocab = self._datasets()
@@ -131,6 +144,8 @@ class TestPhaseOne:
                       batch_sizes=(16,))
 
     def test_ties_keep_the_earliest_batch_size(self, monkeypatch):
+        patch_cpus(monkeypatch, 4)  # cells finish in no set order
+
         def fake_train(model, train_ds, val_ds, cfg):
             return (Checkpoint(config={"batch": cfg.batch_size}, tensors={}),
                     constant_report())
@@ -188,6 +203,8 @@ class TestPhaseTwoSweep:
             np.testing.assert_array_equal(ckpt.tensors[name], arr)
 
     def test_ties_keep_the_earliest_batch_size(self, monkeypatch):
+        patch_cpus(monkeypatch, 4)  # cells finish in no set order
+
         def fake_phase_two(combined, model_cfg, train_cfg, source=None):
             return Checkpoint(config={"batch": train_cfg.batch_size},
                               tensors={}), constant_report()
@@ -197,6 +214,74 @@ class TestPhaseTwoSweep:
         _, ckpt, _ = phase_two_sweep(combined, None, quick_train_cfg(),
                                      batch_sizes=(32, 16, 64))
         assert ckpt.config["batch"] == 32
+
+
+class TestRunCells:
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_every_cell_is_folded_here_once(self, monkeypatch, cpus):
+        patch_cpus(monkeypatch, cpus)
+        folded = {}
+
+        def fold(i, result):
+            assert i not in folded
+            folded[i] = result
+
+        run_cells([f"cell {i}" for i in range(7)],
+                  lambda i: (i * i, os.getpid()), fold)
+        assert sorted(folded) == list(range(7))
+        assert all(square == i * i for i, (square, _) in folded.items())
+        # this process trains cells 0, n, 2n, ...; each worker one other
+        # residue class
+        pids = {i: pid for i, (_, pid) in folded.items()}
+        assert len(set(pids.values())) == cpus
+        assert [i for i, pid in pids.items() if pid == os.getpid()] == \
+            list(range(0, 7, cpus))
+
+    @pytest.mark.parametrize("cpus, has_fork", [(1, True), (4, False)])
+    def test_one_cpu_or_no_fork_trains_in_a_loop_here(self, monkeypatch,
+                                                      cpus, has_fork):
+        patch_cpus(monkeypatch, cpus)
+        if has_fork:
+            def no_fork():
+                raise AssertionError("a worker was forked")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            monkeypatch.delattr(os, "fork")
+        folded = []
+        run_cells(["a", "b", "c"], lambda i: os.getpid(),
+                  lambda i, pid: folded.append((i, pid)))
+        assert folded == [(i, os.getpid()) for i in range(3)]
+
+    def test_one_cpu_stops_at_the_first_error(self, monkeypatch):
+        patch_cpus(monkeypatch, 1)
+        trained = []
+
+        def train_cell(i):
+            trained.append(i)
+            if i == 1:
+                raise ArgumentError("cell 1")
+            return i
+
+        with pytest.raises(ArgumentError, match="cell 1"):
+            run_cells(["a", "b", "c", "d"], train_cell, lambda i, r: None)
+        assert trained == [0, 1]
+
+    def test_buffered_output_is_printed_once(self):
+        """Output still in this process's buffers when the workers fork is
+        not printed again by each of them."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import os\n"
+                "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+                "from ufnd.unified import run_cells\n"
+                "print('before')\n"
+                "run_cells(['a', 'b', 'c'], lambda i: i, lambda i, r: None)\n"
+                "print('after')\n")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert done.stdout == "before\nafter\n"
 
 
 class TestEmptyBatchSizes:
