@@ -238,25 +238,32 @@ def _give(*pairs: tuple[Tensor, np.ndarray]) -> None:
             tensor.accumulate_grad(grad)
 
 
-def _affine(x: np.ndarray, weight: Tensor, bias: Tensor, rebuild=None):
-    """`x @ weight.T + bias` for a 2-D `x`, as one product.  `grads(g)`
-    hands `weight` and `bias` their gradients and returns the input's.
-    It keeps `x` for the weight gradient, or with `rebuild` keeps only
-    that zero-argument function, which must return `x` again."""
+def _affine(x: np.ndarray, weight: Tensor, bias: Tensor | None = None,
+            rebuild=None):
+    """`x @ weight.T + bias` for a 2-D `x`, as one product; with no `bias`,
+    `x @ weight.T`.  `grads(g)` hands `weight` and `bias` their gradients
+    and returns the input's.  It keeps `x` for the weight gradient, or
+    with `rebuild` keeps only that zero-argument function, which must
+    return `x` again."""
     # `grads` reads `x` only through `saved`, so with `rebuild` it holds
     # no reference to `x`.
     saved = (lambda: x) if rebuild is None else rebuild
 
     def grads(g):
-        _give((weight, g.T @ saved()), (bias, g.sum(axis=0)))
+        _give((weight, g.T @ saved()))
+        if bias is not None:
+            _give((bias, g.sum(axis=0)))
         return g @ weight.data
 
     out = x @ weight.data.T
-    return np.add(out, bias.data, out=out), grads
+    if bias is not None:
+        out += bias.data
+    return out, grads
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map `x @ weight.T + bias` with weight stored [out, in]."""
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map `x @ weight.T + bias` with weight stored [out, in]; with
+    no `bias`, the linear map `x @ weight.T`."""
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(
             f"linear: input width {x.shape[-1]} != weight fan-in {weight.shape[1]}")
@@ -265,5 +272,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     def bwd(g):
         _give((x, grads(g.reshape(out_data.shape)).reshape(x.shape)))
 
-    return Tensor(out_data.reshape(*x.shape[:-1], -1),
-                  _parents=(x, weight, bias), _backward=bwd)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor(out_data.reshape(*x.shape[:-1], -1), _parents=parents,
+                  _backward=bwd)

@@ -1,6 +1,11 @@
 """Fine-tuning head: pooled vector -> linear(200) -> batch-norm -> ReLU
 -> dropout -> linear(150) -> batch-norm -> ReLU -> dropout -> linear(2)
--> log-softmax."""
+-> log-softmax.
+
+Layers 1 and 2 have no bias: the batch norm after each subtracts the
+batch mean in training, which cancels any per-feature constant, and its
+own `bias` shifts the output instead.
+"""
 
 from __future__ import annotations
 
@@ -48,17 +53,15 @@ class BatchNormState:
 @dataclass
 class HeadParams:
     l1_w: Parameter
-    l1_b: Parameter
     bn1: BatchNormState
     l2_w: Parameter
-    l2_b: Parameter
     bn2: BatchNormState
     l3_w: Parameter
     l3_b: Parameter
 
     def parameters(self) -> list[Parameter]:
-        return [self.l1_w, self.l1_b, self.bn1.gain, self.bn1.bias,
-                self.l2_w, self.l2_b, self.bn2.gain, self.bn2.bias,
+        return [self.l1_w, self.bn1.gain, self.bn1.bias,
+                self.l2_w, self.bn2.gain, self.bn2.bias,
                 self.l3_w, self.l3_b]
 
 
@@ -66,10 +69,6 @@ def init_head_params(cfg: HeadConfig, rng: np.random.Generator,
                      dtype=np.float32, arrays=None) -> HeadParams:
     """Fresh parameters, or with `arrays` those arrays (`param_maker`)."""
     make = param_maker(rng, dtype, arrays)
-
-    def lin(name, fan_out, fan_in):
-        return (make(name + "/w", (fan_out, fan_in)),
-                make(name + "/b", fan_out, 0.0))
 
     def bn(name, width):
         return BatchNormState(
@@ -79,12 +78,12 @@ def init_head_params(cfg: HeadConfig, rng: np.random.Generator,
             running_var=make(name + "/running_var", width, 1.0).data,
             momentum=cfg.bn_momentum, eps=cfg.bn_eps)
 
-    l1_w, l1_b = lin("head/l1", cfg.h1, cfg.d_in)
-    l2_w, l2_b = lin("head/l2", cfg.h2, cfg.h1)
-    l3_w, l3_b = lin("head/l3", cfg.n_classes, cfg.h2)
-    return HeadParams(l1_w=l1_w, l1_b=l1_b, bn1=bn("head/bn1", cfg.h1),
-                      l2_w=l2_w, l2_b=l2_b, bn2=bn("head/bn2", cfg.h2),
-                      l3_w=l3_w, l3_b=l3_b)
+    l1_w = make("head/l1/w", (cfg.h1, cfg.d_in))
+    l2_w = make("head/l2/w", (cfg.h2, cfg.h1))
+    l3_w = make("head/l3/w", (cfg.n_classes, cfg.h2))
+    return HeadParams(l1_w=l1_w, bn1=bn("head/bn1", cfg.h1),
+                      l2_w=l2_w, bn2=bn("head/bn2", cfg.h2),
+                      l3_w=l3_w, l3_b=make("head/l3/b", cfg.n_classes, 0.0))
 
 
 def bn_forward(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
@@ -144,10 +143,10 @@ def head_forward(pooled: Tensor, params: HeadParams, cfg: HeadConfig,
     """Two hidden layers with BN+ReLU+dropout, then log-softmax logits."""
     if mode == "train" and pooled.shape[0] < 2:
         raise ContractError("head_forward: train mode requires batch >= 2")
-    h = ag.linear(pooled, params.l1_w, params.l1_b)
+    h = ag.linear(pooled, params.l1_w)
     h = dropout(relu(bn_forward(h, params.bn1, mode)), cfg.dropout_rate,
                 mode, rng)
-    h = ag.linear(h, params.l2_w, params.l2_b)
+    h = ag.linear(h, params.l2_w)
     h = dropout(relu(bn_forward(h, params.bn2, mode)), cfg.dropout_rate,
                 mode, rng)
     return log_softmax(ag.linear(h, params.l3_w, params.l3_b))

@@ -36,8 +36,10 @@ from .textprep import (CLS_ID, EncodedDataset, PrepConfig, build_vocab,
                        tokenize_corpus)
 from .trainer import (TrainConfig, model_from_checkpoint, predict_dataset,
                       train)
-# `phase_two` is unused here; bench/spans.py traces it through this
-# module's namespace.
+# `phase_two` is unused here.  The import stays only because
+# bench/spans.py patches `cli.__dict__["phase_two"]` (a wrap that never
+# fires: `phase_two_sweep` calls `unified.phase_two`); removing it waits
+# on ROADMAP item 2 or 11.
 from .unified import (DEFAULT_BATCH_SIZES, DEFAULT_BLOCK_SUBSETS,
                       AblationGrid, EncodedSplit, ablate, ablation_table,
                       load_baselines, per_dataset_table, phase_one,
@@ -58,6 +60,13 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _positive(raw: str) -> float:
+    value = _finite(raw)
+    if value <= 0:
+        raise ValueError(raw)
+    return value
+
+
 def _ints(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in raw.split(",") if v != "")
 
@@ -72,6 +81,7 @@ def _label_pairs(raw: str) -> dict[str, int]:
 
 INT = (int, "an integer")
 NUMBER = (_finite, "a finite number")
+POSITIVE = (_positive, "a positive finite number")
 BOOL = (lambda raw: BOOL_WORDS[raw.lower()], "one of " + "/".join(BOOL_WORDS))
 INTS = (_ints, "a comma-separated list of integers")
 INT_LISTS = (lambda raw: tuple(map(_ints, raw.split(";"))),
@@ -96,7 +106,7 @@ KEYS = {
     "model.n_blocks_total": INT, "model.block_subset": INTS,
     "model.d_model": INT, "model.n_heads": INT, "model.d_ff": INT,
     "model.h1": INT, "model.h2": INT,
-    "unify.threshold": NUMBER, "unify.batch_sizes": INTS,
+    "unify.threshold": POSITIVE, "unify.batch_sizes": INTS,
     "ablate.subsets": INT_LISTS, "ablate.batch_sizes": INTS,
 }
 CLI_DEFAULTS = {"train.seed": 20220, "split.ratio": 0.8,
@@ -457,6 +467,10 @@ def cmd_unify(args) -> int:
     baselines_path = _required(config, "baselines")
     manifest.add_input(baselines_path, "config key baselines")
     baselines = load_baselines(baselines_path)
+    for i, ds in enumerate(datasets, 1):
+        if ds.name not in baselines:
+            raise DataError(f"{baselines_path}: no baseline for dataset "
+                            f"{ds.name!r} (dataset{i} in the config)")
 
     model_cfg, train_cfg = _configs(settings, meta)
     threshold = settings["unify.threshold"]

@@ -56,10 +56,15 @@ def select_blocks(config: EncoderConfig, subset) -> EncoderConfig:
 
 @dataclass
 class BlockParams:
+    """One block's parameters.  The K projection has no bias: a key bias
+    adds the same constant to every score of a query, and the softmax
+    cancels it.  The last retained block's `ln2_bias` has zero gradient
+    too, as the head's first batch norm cancels any per-feature constant
+    of the pooled vector, but it does work in every other block, and the
+    block subset decides which block is last."""
     wq: Parameter
     bq: Parameter
     wk: Parameter
-    bk: Parameter
     wv: Parameter
     bv: Parameter
     wo: Parameter
@@ -74,7 +79,7 @@ class BlockParams:
     ln2_bias: Parameter
 
     def parameters(self) -> list[Parameter]:
-        return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
+        return [self.wq, self.bq, self.wk, self.wv, self.bv,
                 self.wo, self.bo, self.ln1_gain, self.ln1_bias,
                 self.w1, self.b1, self.w2, self.b2,
                 self.ln2_gain, self.ln2_bias]
@@ -111,13 +116,13 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
     for idx in config.block_subset:
         prefix = f"encoder/block{idx}"
         wq, bq = lin(prefix + "/attn_q", d, d)
-        wk, bk = lin(prefix + "/attn_k", d, d)
+        wk = make(prefix + "/attn_k/w", (d, d))
         wv, bv = lin(prefix + "/attn_v", d, d)
         wo, bo = lin(prefix + "/attn_o", d, d)
         w1, b1 = lin(prefix + "/ff1", ff, d)
         w2, b2 = lin(prefix + "/ff2", d, ff)
         params.blocks[idx] = BlockParams(
-            wq=wq, bq=bq, wk=wk, bk=bk, wv=wv, bv=bv, wo=wo, bo=bo,
+            wq=wq, bq=bq, wk=wk, wv=wv, bv=bv, wo=wo, bo=bo,
             ln1_gain=make(prefix + "/ln1/gain", d, 1.0),
             ln1_bias=make(prefix + "/ln1/bias", d, 0.0),
             w1=w1, b1=b1, w2=w2, b2=b2,
@@ -130,7 +135,7 @@ def param_count(config: EncoderConfig) -> int:
     """Closed-form scalar count for the retained blocks plus embeddings."""
     d, ff = config.d_model, config.d_ff
     embeddings = config.vocab_size * d + config.max_seq_len * d
-    attention = 4 * (d * d + d)
+    attention = 4 * d * d + 3 * d  # no key bias
     feed_forward = ff * d + ff + d * ff + d
     norms = 4 * d
     per_block = attention + feed_forward + norms
@@ -243,7 +248,7 @@ def self_attention(queries: Tensor, hidden: Tensor, layout: Layout,
         return layout.gather(x) if full else x
 
     q, q_grads = _affine(queries.data, bp.wq, bp.bq)
-    k, k_grads = _affine(hidden.data, bp.wk, bp.bk)
+    k, k_grads = _affine(hidden.data, bp.wk)
     v, v_grads = _affine(hidden.data, bp.wv, bp.bv)
     q, k, v = split(grid(q)), split(layout.scatter(k)), split(layout.scatter(v))
     scores = q @ k.swapaxes(2, 3)
@@ -266,8 +271,8 @@ def self_attention(queries: Tensor, hidden: Tensor, layout: Layout,
         _give((hidden, g_hidden))
 
     return Tensor(out_data,
-                  _parents=(queries, hidden, bp.wq, bp.bq, bp.wk, bp.bk,
-                            bp.wv, bp.bv, bp.wo, bp.bo), _backward=bwd)
+                  _parents=(queries, hidden, bp.wq, bp.bq, bp.wk, bp.wv,
+                            bp.bv, bp.wo, bp.bo), _backward=bwd)
 
 
 def feed_forward(x: Tensor, bp: BlockParams) -> Tensor:

@@ -209,6 +209,27 @@ def make_checkpoint(model: Model, cfg: TrainConfig, adam: dict,
     return Checkpoint(config=config, tensors=tensors, meta=meta)
 
 
+def best_arrays(ckpt: Checkpoint) -> dict[str, np.ndarray]:
+    """The checkpoint's `best/` arrays by parameter name, not copied.
+
+    Checkpoints written while blocks had a key bias and head layers 1 and
+    2 had biases still hold them; each had zero true gradient.  Softmax
+    cancels a key bias, so `attn_k/b` is dropped.  In eval mode the batch
+    norm after layer N subtracts its running mean right after the bias is
+    added, so `head/lN/b` is subtracted from (a copy of)
+    `head/bnN/running_mean`: the same model in exact arithmetic.  Adam
+    moments are read by the names of the model's parameters, so those of
+    these tensors are never read."""
+    state = {name[5:]: arr for name, arr in ckpt.tensors.items()
+             if name.startswith("best/") and not name.endswith("/attn_k/b")}
+    for n in (1, 2):
+        bias = state.pop(f"head/l{n}/b", None)
+        if bias is not None:
+            mean = f"head/bn{n}/running_mean"
+            state[mean] = state[mean] - bias
+    return state
+
+
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, TrainConfig]:
     """The model whose parameters are the checkpoint's `best/` arrays
     themselves (not copies), and its training config."""
@@ -219,10 +240,8 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, TrainConfig]:
     cfg = TrainConfig(**{k: v for k, v in ckpt.config["train"].items()
                          if k not in RETIRED_TRAIN_FIELDS})
     dtype = np.dtype(ckpt.config.get("dtype", "<f4"))
-    state = {name[5:]: arr for name, arr in ckpt.tensors.items()
-             if name.startswith("best/")}
     model = Model(config, RngStreams(cfg.seed), dtype=dtype.type,
-                  arrays=state)
+                  arrays=best_arrays(ckpt))
     model.rng.restore(ckpt.meta["rng_state"])
     return model, cfg
 
@@ -269,8 +288,7 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
         if mode != "rollback":  # its last weights are not its best/
             raise IncompatibilityError(f"cannot resume a checkpoint trained "
                                        f"with best_mode={mode!r}")
-        best_state = {name[5:]: arr for name, arr in resume.tensors.items()
-                      if name.startswith("best/")}  # read, never written
+        best_state = best_arrays(resume)  # read, never written
         model.load_state_arrays(best_state)
         model.rng.restore(resume.meta["rng_state"])
         for name, state in adam.items():

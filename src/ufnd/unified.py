@@ -5,12 +5,13 @@ ablation harness."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
 from .checkpoint import Checkpoint
 from .encoder import param_count, select_blocks
-from .errors import ArgumentError, UfndError
+from .errors import ArgumentError, DataError, UfndError
 from .metrics import Metrics, POSITIVE_CLASS_NOTE
 from .model import Model, ModelConfig
 from .numerics import RngStreams
@@ -75,17 +76,24 @@ def check_acceptable(accuracy: float, baseline: float,
 
 
 def load_baselines(path) -> dict[str, float]:
-    """Delimited baseline table: dataset-id <TAB> accuracy <TAB> citation."""
+    """Delimited baseline table: dataset-id <TAB> accuracy <TAB> citation.
+    A line without an accuracy in (0, 1] is a `DataError` naming the file
+    and line."""
     baselines = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) < 2:
-                raise ArgumentError(f"bad baseline line: {line!r}")
-            baselines[parts[0]] = float(parts[1])
+            try:
+                accuracy = float(parts[1])
+            except (IndexError, ValueError):
+                accuracy = math.nan
+            if not 0.0 < accuracy <= 1.0:  # false for nan
+                raise DataError(f"{path}:{line_no}: expected dataset-id <TAB> "
+                                f"accuracy in (0, 1], got {line!r}")
+            baselines[parts[0]] = accuracy
     return baselines
 
 

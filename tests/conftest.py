@@ -72,3 +72,30 @@ def legacy_checkpoint(ckpt: Checkpoint, best_mode: str) -> Checkpoint:
                     if name.startswith("best/")})
     return Checkpoint(config=config, tensors=tensors, meta=ckpt.meta)
 
+
+def with_removed_biases(ckpt: Checkpoint, seed: int = 0) -> Checkpoint:
+    """`ckpt` as it would be written while every block had a key bias and
+    head layers 1 and 2 had biases: random `best/` values and Adam moments
+    for them, with each head bias added to the running mean of the batch
+    norm after it, so the model is the same in exact arithmetic."""
+    rng = np.random.default_rng(seed)
+    tensors, meta = dict(ckpt.tensors), copy.deepcopy(ckpt.meta)
+
+    def random(like):
+        return rng.standard_normal(like.shape[0]).astype(like.dtype)
+
+    def add(name, value):
+        tensors["best/" + name] = value
+        tensors[f"adam/{name}/m"] = random(value)
+        tensors[f"adam/{name}/v"] = np.abs(random(value))
+        meta["adam_t"][name] = max(meta["adam_t"].values())
+
+    for name, arr in ckpt.tensors.items():
+        if name.startswith("best/encoder/") and name.endswith("/attn_k/w"):
+            add(name[len("best/"):-len("w")] + "b", random(arr))
+    for n in (1, 2):
+        mean = f"best/head/bn{n}/running_mean"
+        bias = random(tensors[mean])
+        add(f"head/l{n}/b", bias)
+        tensors[mean] = tensors[mean] + bias
+    return Checkpoint(config=ckpt.config, tensors=tensors, meta=meta)

@@ -7,6 +7,7 @@ from ufnd import autograd as ag
 from ufnd.autograd import Parameter, Tensor
 from ufnd.encoder import EncoderParams, Layout, embed
 from ufnd.errors import ContractError, ShapeError
+from ufnd.numerics import grad_check
 
 
 def mul(x, y):
@@ -146,6 +147,24 @@ class TestStructural:
             p.data[idx] = orig
             numeric = (f_plus - f_minus) / (2 * eps)
             assert abs(numeric - p.grad[idx]) < 1e-6
+
+    def test_linear_without_bias_passes_a_float64_grad_check(self):
+        rng = np.random.default_rng(3)
+        x = Parameter(rng.standard_normal((3, 4)), "x")
+        w = Parameter(rng.standard_normal((5, 4)), "w")
+        weights = rng.standard_normal((3, 5))
+
+        def loss():
+            out = ag.linear(x, w, None)
+            assert out._parents == (x, w)
+            return Tensor(np.asarray(np.sum(out.data * weights)),
+                          _parents=(out,),
+                          _backward=lambda g: out.accumulate_grad(
+                              g * weights))
+
+        res = grad_check(loss, [x, w], eps=1e-6, abs_floor=0.0, n_samples=32)
+        assert res.n_checked == 32
+        assert res.max_rel_error < 1e-7, res.worst_param
 
 
 class TestNoGrad:

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import legacy_checkpoint
+from conftest import legacy_checkpoint, with_removed_biases
 from ufnd import cli, unified
+from ufnd.autograd import no_grad
 from ufnd.checkpoint import load_checkpoint, save_checkpoint
 from ufnd.classifier import HeadConfig
 from ufnd.cli import (KEYS, load_encoded, main, parse_config_file,
@@ -26,7 +27,7 @@ from ufnd.model import desk_config
 from ufnd.synthetic import make_synthetic_corpus, write_synthetic_csv
 from ufnd.textprep import (CLS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID,
                            PrepConfig, build_vocab)
-from ufnd.trainer import TrainConfig
+from ufnd.trainer import TrainConfig, predict_dataset
 from ufnd.unified import DEFAULT_BATCH_SIZES, AblationGrid
 
 TINY_MODEL_KEYS = """\
@@ -365,7 +366,7 @@ class TestRequiredKeys:
             "combined.train": prep_out / "combined.train.npz",
             "combined.test": prep_out / "combined.test.npz",
         }
-        (tmp_path / "baselines.tsv").write_text("ds1\t0.5\tfloor\n")
+        (tmp_path / "baselines.tsv").write_text("dataset1\t0.5\tfloor\n")
         cfg = tmp_path / "c.cfg"
         cfg.write_text(config.read_text() + "".join(
             f"{k} = {v}\n" for k, v in paths.items() if k != key))
@@ -386,7 +387,7 @@ class TestRequiredKeys:
     def test_bad_cell_value_exits_2_before_any_cell_trains(
             self, command, key, value, named, prepped, tmp_path, capsys):
         config, prep_out = prepped
-        (tmp_path / "baselines.tsv").write_text("ds1\t0.5\tfloor\n")
+        (tmp_path / "baselines.tsv").write_text("dataset1\t0.5\tfloor\n")
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
             config.read_text()
@@ -402,6 +403,58 @@ class TestRequiredKeys:
         err = capsys.readouterr().err
         assert f"config key {key}" in err and named in err
         assert not list(tmp_path.glob("out/table_*"))
+
+
+class TestBadUnifyInputs:
+    """Bad `unify` input exits 2, naming the file and line or the key,
+    before phase 1 starts."""
+
+    @pytest.fixture(scope="class")
+    def prepped(self, tmp_path_factory):
+        return run_prep(tmp_path_factory.mktemp("bad_unify"))
+
+    @staticmethod
+    def _unify(prepped, tmp_path, monkeypatch, baselines, keys="",
+               flags=()):
+        def no_phase_one(*args, **kwargs):
+            raise AssertionError("phase 1 started")
+
+        monkeypatch.setattr(cli, "phase_one", no_phase_one)
+        config, prep_out = prepped
+        cfg = write_unify_config(tmp_path, config.read_text(), prep_out,
+                                 0.5, keys)
+        (tmp_path / "baselines.tsv").write_text(baselines)
+        return main(["unify", "--config", str(cfg),
+                     "--out", str(tmp_path / "out"), *flags])
+
+    @pytest.mark.parametrize("line", ["ds2\tabc\tfloor", "ds2",
+                                      "ds2\t97\tfloor", "ds2\tnan",
+                                      "ds2\tinf", "ds2\t0\tfloor"])
+    def test_bad_baseline_line_exits_2_naming_file_and_line(
+            self, line, prepped, tmp_path, monkeypatch, capsys):
+        assert self._unify(prepped, tmp_path, monkeypatch,
+                           f"# id\taccuracy\n\nds1\t0.5\n{line}\n") == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'baselines.tsv'}:4:" in err and repr(line) in err
+
+    def test_dataset_without_a_baseline_exits_2_naming_file_and_dataset(
+            self, prepped, tmp_path, monkeypatch, capsys):
+        assert self._unify(prepped, tmp_path, monkeypatch,
+                           "ds1\t0.5\tfloor\n") == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "baselines.tsv") in err
+        assert "no baseline for dataset 'ds2' (dataset2" in err
+
+    @pytest.mark.parametrize("keys, flags", [
+        ("unify.threshold = 0\n", ()),
+        ("unify.threshold = -0.1\n", ()),
+        ("", ("--threshold", "0")),
+    ])
+    def test_threshold_not_above_zero_exits_2_naming_the_key(
+            self, keys, flags, prepped, tmp_path, monkeypatch, capsys):
+        assert self._unify(prepped, tmp_path, monkeypatch,
+                           "ds1\t0.5\nds2\t0.5\n", keys, flags) == 2
+        assert "config key unify.threshold" in capsys.readouterr().err
 
 
 # The keys that a command reads by name rather than through `_given`, each
@@ -457,7 +510,7 @@ class TestConfigsHandedOn:
 
         monkeypatch.setattr(cli, "ablate", fake_ablate)
         monkeypatch.setattr(cli, "phase_one", fake_phase_one)
-        (tmp_path / "baselines.tsv").write_text("ds1\t0.5\tfloor\n")
+        (tmp_path / "baselines.tsv").write_text("dataset1\t0.5\tfloor\n")
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
             f"combined.train = {prep_out / 'combined.train.npz'}\n"
@@ -855,6 +908,35 @@ class TestInputFiles:
             assert self._eval(old, data, tmp_path / mode) == 0
             assert (tmp_path / mode / "out" / "metrics.txt").read_text() \
                 == expected
+
+    def test_checkpoint_with_the_removed_biases_evaluates_as_a_new_one(
+            self, trained, tmp_path, monkeypatch):
+        """A checkpoint written while every block had a key bias and head
+        layers 1 and 2 had biases gives the same predictions, and
+        log-probs within float32 rounding."""
+        _, prep_out, checkpoint = trained
+        data = prep_out / "ds1.test.npz"
+        old = tmp_path / "old.ufnd"
+        save_checkpoint(with_removed_biases(load_checkpoint(checkpoint)),
+                        old)
+        assert "best/head/l1/b" in load_checkpoint(old).tensors
+        seen = []
+
+        def recording(model, ds):
+            with no_grad():
+                log_probs = model.forward(ds.ids, ds.mask, "eval").data
+            seen.append((predict_dataset(model, ds), log_probs))
+            return seen[-1][0]
+
+        monkeypatch.setattr(cli, "predict_dataset", recording)
+        for name, path in (("new", checkpoint), ("old", old)):
+            assert self._eval(path, data, tmp_path / name) == 0
+        (new_preds, new_log_probs), (old_preds, old_log_probs) = seen
+        np.testing.assert_array_equal(old_preds, new_preds)
+        np.testing.assert_allclose(old_log_probs, new_log_probs, rtol=1e-5,
+                                   atol=1e-6)
+        assert (tmp_path / "old" / "out" / "metrics.txt").read_text() == \
+            (tmp_path / "new" / "out" / "metrics.txt").read_text()
 
 
 def write_unify_config(tmp_path, config_text, prep_out, baseline, keys):

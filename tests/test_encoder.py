@@ -68,7 +68,8 @@ class TestParamCount:
         cfg = EncoderConfig(vocab_size=30522, d_model=768, n_heads=12,
                             d_ff=3072, max_seq_len=512, n_blocks_total=12,
                             block_subset=tuple(range(1, 13)))
-        assert param_count(cfg) == 108888576
+        # BERT-base's 108,888,576 less the 12 blocks' 768 key biases
+        assert param_count(cfg) == 108879360
 
 
 class TestEncodeSequence:
@@ -406,7 +407,7 @@ def composed_attention(queries, hidden, mask, bp, config):
                          (0, 2, 1, 3))
 
     q = split_heads(ag.linear(queries, bp.wq, bp.bq))
-    k = split_heads(ag.linear(hidden, bp.wk, bp.bk))
+    k = split_heads(ag.linear(hidden, bp.wk))
     v = split_heads(ag.linear(hidden, bp.wv, bp.bv))
     scores = mul(ag.matmul(q, transpose(k, (0, 1, 3, 2))),
                  1.0 / math.sqrt(dh))
@@ -481,7 +482,7 @@ class TestSubLayerOps:
         hidden = tensor("hidden", (9, 8))
         pooled = tensor("pooled", (3, 8))
         x, y = tensor("x", (9, 8)), tensor("y", (9, 8))
-        attention = [bp.wq, bp.bq, bp.wk, bp.bk, bp.wv, bp.bv, bp.wo, bp.bo]
+        attention = [bp.wq, bp.bq, bp.wk, bp.wv, bp.bv, bp.wo, bp.bo]
         return [
             ("attention", lambda op: op(hidden, hidden, layout, bp, cfg),
              (self_attention, composed_packed_attention),
@@ -502,10 +503,8 @@ class TestSubLayerOps:
     @pytest.mark.parametrize("case", range(4))
     def test_float64_grad_check(self, case):
         name, run, (fused, _), tensors = self.cases()[case]
-        # abs_floor: the finite difference of `attn_k/b`, whose true
-        # gradient is zero, is rounding noise of about 1e-9.
         res = grad_check(lambda: probe(run(fused)), tensors, eps=1e-6,
-                         abs_floor=1e-8, n_samples=300)
+                         abs_floor=0.0, n_samples=300)
         assert res.max_rel_error < 1e-5, (name, res.worst_param)
         assert {n for n, *_ in res.errors} == {t.name for t in tensors}
 
@@ -521,10 +520,8 @@ class TestSubLayerOps:
             results.append((out.data, [t.grad.copy() for t in tensors]))
         (fused_out, fused_grads), (ref_out, ref_grads) = results
         np.testing.assert_allclose(fused_out, ref_out, rtol=1e-12)
-        # atol: `attn_k/b` has zero true gradient (softmax cancels a
-        # per-query shift), so both sides hold rounding noise there.
         for t, got, want in zip(tensors, fused_grads, ref_grads):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14,
+            np.testing.assert_allclose(got, want, rtol=1e-12,
                                        err_msg=f"{name}: {t.name}")
 
     def test_add_norm_gives_both_inputs_the_same_gradient(self):

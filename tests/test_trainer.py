@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (legacy_checkpoint, small_batch, small_model,
-                      toy_model_config)
+                      toy_model_config, with_removed_biases)
 from ufnd import encoder, trainer
 from ufnd.autograd import Tensor, no_grad
 from ufnd.checkpoint import load_checkpoint, save_checkpoint
@@ -345,6 +345,32 @@ class TestLegacyCheckpoint:
                                           new_ckpt.tensors[name],
                                           err_msg=name)
 
+    def test_checkpoint_with_the_removed_biases_resumes(self, saved,
+                                                         toy_split,
+                                                         tmp_path):
+        """A checkpoint written while every block had a key bias and head
+        layers 1 and 2 had biases resumes to the weights and losses of a
+        new one; the batch norms' running means, into which the head
+        biases are folded, agree within float32 rounding."""
+        split_data, vocab = toy_split
+        new = saved()
+        old = tmp_path / "old.ufnd"
+        save_checkpoint(with_removed_biases(load_checkpoint(new)), old)
+        new_ckpt, new_report = self._resume(new, split_data, vocab)
+        old_ckpt, old_report = self._resume(old, split_data, vocab)
+        assert old_report.loss_trace() == new_report.loss_trace()
+        assert old_ckpt.tensors.keys() == new_ckpt.tensors.keys()
+        for name in new_ckpt.tensors:
+            if "running_mean" in name:
+                np.testing.assert_allclose(old_ckpt.tensors[name],
+                                           new_ckpt.tensors[name],
+                                           rtol=1e-5, atol=1e-6,
+                                           err_msg=name)
+            else:
+                np.testing.assert_array_equal(old_ckpt.tensors[name],
+                                              new_ckpt.tensors[name],
+                                              err_msg=name)
+
     def test_select_checkpoint_evaluates_but_does_not_resume(
             self, saved, toy_split):
         split_data, vocab = toy_split
@@ -460,6 +486,34 @@ class TestStepGraph:
         trainer._train_step(model, params, adam, small_train_cfg(), ds,
                             np.arange(len(ds)))
         assert count == tensors
+
+    def test_desk_train_step_makes_190_adam_calls(self, monkeypatch):
+        """One per parameter: 2 embedding tables, 15 per block and 8 in the
+        head.  Blocks have no key bias and head layers 1 and 2 no bias:
+        their true gradient is zero (softmax and batch norm cancel them)."""
+        ids, mask, labels = small_batch()
+        model = Model(desk_config(vocab_size=50, max_seq_len=8),
+                      RngStreams(3))
+        ds = EncodedDataset(ids=ids, mask=mask, labels=labels,
+                            true_lengths=mask.sum(axis=1).astype(np.int64),
+                            vocab_hash="", max_seq_len=8)
+        params = model.parameters()
+        names = {p.name for p in params}
+        assert not {n for n in names if n.endswith("/attn_k/b")}
+        assert not names & {"head/l1/b", "head/l2/b"}
+        adam = {p.name: AdamState.for_param(p) for p in params}
+        calls = []
+        step = trainer.adam_step
+
+        def counting(param, state):
+            calls.append(param.name)
+            step(param, state)
+
+        monkeypatch.setattr(trainer, "adam_step", counting)
+        trainer._train_step(model, params, adam, small_train_cfg(), ds,
+                            np.arange(len(ds)))
+        assert len(calls) == 190
+        assert sorted(calls) == sorted(names)
 
     def test_backward_frees_the_graph_while_the_loss_lives(self,
                                                            monkeypatch):

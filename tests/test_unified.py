@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from ufnd import unified
 from ufnd.checkpoint import Checkpoint
 from ufnd.corpus import split
 from ufnd.encoder import param_count
-from ufnd.errors import ArgumentError
+from ufnd.errors import ArgumentError, DataError
 from ufnd.metrics import Metrics
 from ufnd.synthetic import make_synthetic_corpus
 from ufnd.textprep import PrepConfig, build_vocab, encode_corpus
@@ -87,7 +88,7 @@ class TestLoadBaselines:
     def test_bad_line(self, tmp_path):
         p = tmp_path / "b.tsv"
         p.write_text("dataset1\n")
-        with pytest.raises(ArgumentError):
+        with pytest.raises(DataError, match=re.escape(f"{p}:1:")):
             load_baselines(p)
 
 
