@@ -21,7 +21,7 @@ def main():
     print()
 
     corpus = make_synthetic_corpus(200, "demo", seed=0)
-    stats = seq_length_stats(corpus, None, cfg)
+    stats = seq_length_stats(corpus, cfg)
     print("sequence length over 200 synthetic documents:")
     for mode in ("without_removal", "with_removal"):
         s = stats[mode]

@@ -417,7 +417,7 @@ def cmd_prep(args) -> int:
         for report in reports:
             fh.write(report.render() + "\n")
 
-    stats = seq_length_stats(tokens, vocab, prep)
+    stats = seq_length_stats(tokens, prep)
     with open(manifest.artifact("length_stats.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(f"# short-word rule: drop tokens shorter than "

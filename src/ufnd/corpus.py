@@ -18,9 +18,6 @@ import numpy as np
 from .errors import (DataError, DegenerateSplitError, EmptyCorpusError,
                      ArgumentError, SchemaError)
 
-SHUFFLE_ALGORITHM = "numpy-PCG64"
-
-
 @dataclass(frozen=True)
 class Document:
     text: str

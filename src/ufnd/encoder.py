@@ -15,7 +15,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Parameter, Tensor, _affine, _give
 from .errors import ArgumentError, ContractError, ShapeError
-# gelu, layer_norm and masked_softmax: unused, but bench/spans.py wraps them.
+# dropout, gelu, layer_norm, masked_softmax: wrapped by bench/spans.py only.
 from .numerics import (_gelu, _gelu_slope, _layer_norm, _masked_softmax,  # noqa
                        dropout, gelu, layer_norm, masked_softmax, param_maker)
 
@@ -47,6 +47,9 @@ class EncoderConfig:
         if subset[0] < 1 or subset[-1] > self.n_blocks_total:
             raise ArgumentError(
                 f"block_subset {subset} out of range 1..{self.n_blocks_total}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ArgumentError(
+                f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
 def select_blocks(config: EncoderConfig, subset) -> EncoderConfig:
@@ -150,7 +153,7 @@ class Layout:
     row-major order.  `index` holds their flat `[B * W]` indices, or is
     None when every position is kept: `gather` and `scatter` are then
     reshapes and copy nothing.  `firsts` are the packed rows of the
-    samples' position 0.
+    samples' position 0, and `ends` each sample's last kept position + 1.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -162,6 +165,7 @@ class Layout:
         counts = keep.sum(axis=1)
         self.index = None if keep.all() else np.flatnonzero(keep)
         self.firsts = np.cumsum(counts) - counts
+        self.ends = keep.shape[1] - np.argmax(keep[:, ::-1], axis=1)
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """`[B * W, D]` -> the packed rows."""
@@ -174,6 +178,31 @@ class Layout:
         out = np.zeros((self.mask.size, x.shape[-1]), dtype=x.dtype)
         out[self.index] = x
         return out
+
+    def dropout_mask(self, rng: np.random.Generator, rate: float,
+                     max_seq_len: int, depth: int,
+                     pooled: bool = False) -> np.ndarray:
+        """The bool keep mask of a dropout at `rate` on the packed rows,
+        `[n, depth]`, or with `pooled` on each sample's position 0,
+        `[B, depth]`.
+
+        Each position takes its values in `rng.random((B, max_seq_len,
+        depth))`, and `rng` ends where that draw leaves it, so a step
+        consumes the same random numbers however many columns were cut
+        or rows packed.  Each sample is drawn only up to its last kept
+        position (position 0 with `pooled`) and the rest of its row is
+        skipped with `advance`: `random` fills in C order and takes one
+        64-bit output per float64 value.
+        """
+        ends = np.ones_like(self.ends) if pooled else self.ends
+        draws = np.empty((ends.size, 1 if pooled else self.mask.shape[1],
+                          depth))
+        # Python ints: `advance` overflows on a numpy int.
+        for row, end in zip(draws, ends.tolist()):
+            rng.random(out=row[:end])
+            rng.bit_generator.advance((max_seq_len - end) * depth)
+        draws = draws.reshape(-1, depth)
+        return (draws if pooled else self.gather(draws)) >= rate
 
 
 def embed(ids: np.ndarray, layout: Layout, params: EncoderParams) -> Tensor:
@@ -294,14 +323,18 @@ def feed_forward(x: Tensor, bp: BlockParams) -> Tensor:
 
 
 def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
-             eps: float) -> Tensor:
+             eps: float, keep: np.ndarray | None = None,
+             scale: float = 1.0) -> Tensor:
     """`layer_norm(x + y, gain, bias, eps)` as one op: both inputs get the
-    gradient of the sum."""
-    out_data, grads = _layer_norm(x.data + y.data, gain, bias, eps)
+    gradient of the sum.  With a bool mask `keep` of `y`'s shape, `y` is
+    first dropped out, `y * keep * scale`, and gets that gradient
+    `* keep * scale`: a post-norm block's residual dropout."""
+    y_data = y.data if keep is None else y.data * keep * scale
+    out_data, grads = _layer_norm(x.data + y_data, gain, bias, eps)
 
     def bwd(g):
         g_sum = grads(g)
-        _give((x, g_sum), (y, g_sum))
+        _give((x, g_sum), (y, g_sum if keep is None else g_sum * keep * scale))
 
     return Tensor(out_data, _parents=(x, y, gain, bias), _backward=bwd)
 
@@ -315,27 +348,23 @@ def encoder_block(queries: Tensor, hidden: Tensor, layout: Layout,
     `hidden` holds the batch's packed rows (`layout`), and every one
     serves as key and value.  The block's output has one row per row of
     `queries`: `hidden` itself for a full-width block, or one row per
-    sample for the pooled block.  Dropout masks are drawn at the cut
-    width, as the leading corner of the full ``(batch, max_seq_len,
-    d_model)`` shape, and each row takes its own position's values.  So
-    a step consumes the same random numbers however many columns were cut
-    or rows packed, and each position gets the mask values it would get
-    at full width.
+    sample for the pooled block.  In train mode each sub-layer's output
+    is dropped out inside its `add_norm`, with masks drawn by
+    `Layout.dropout_mask`: each position gets the mask values it would
+    get at full width.
     """
-    batch, width = layout.mask.shape
-    d = hidden.shape[-1]
-    draw_shape = (batch, config.max_seq_len, d)
-    if queries is hidden:
-        corner, rows = (batch, width, d), layout.index
-    else:
-        corner, rows = (batch, 1, d), None
+    rate = config.dropout_rate
+    keep1 = keep2 = None
+    if mode == "train" and rate > 0.0:
+        draw = (rng, rate, config.max_seq_len, hidden.shape[-1],
+                queries is not hidden)
+        keep1, keep2 = layout.dropout_mask(*draw), layout.dropout_mask(*draw)
+    scale = 1.0 / (1.0 - rate)
     attn = self_attention(queries, hidden, layout, bp, config)
-    attn = dropout(attn, config.dropout_rate, mode, rng, draw_shape, corner,
-                   rows)
-    h1 = add_norm(queries, attn, bp.ln1_gain, bp.ln1_bias, LN_EPS)
-    ff = dropout(feed_forward(h1, bp), config.dropout_rate, mode, rng,
-                 draw_shape, corner, rows)
-    return add_norm(h1, ff, bp.ln2_gain, bp.ln2_bias, LN_EPS)
+    h1 = add_norm(queries, attn, bp.ln1_gain, bp.ln1_bias, LN_EPS, keep1,
+                  scale)
+    return add_norm(h1, feed_forward(h1, bp), bp.ln2_gain, bp.ln2_bias,
+                    LN_EPS, keep2, scale)
 
 
 def encode_sequence(ids: np.ndarray, mask: np.ndarray, params: EncoderParams,
@@ -353,6 +382,9 @@ def encode_sequence(ids: np.ndarray, mask: np.ndarray, params: EncoderParams,
     from position 0 alone: its other positions would reach neither the
     loss nor the prediction.
     """
+    if mode not in ("train", "eval"):
+        raise ArgumentError(
+            f"encoder mode must be 'train' or 'eval', got {mode!r}")
     real_cols = np.flatnonzero(np.any(mask, axis=0))
     width = int(real_cols[-1]) + 1 if real_cols.size else ids.shape[1]
     ids, mask = ids[:, :width], mask[:, :width]

@@ -214,36 +214,17 @@ def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
     return xhat * gain.data + bias.data, grads
 
 
-def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator,
-            draw_shape: tuple[int, ...] | None = None,
-            corner: tuple[int, ...] | None = None,
-            rows: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout; identity in eval mode or at rate 0.
-
-    The mask is drawn at `corner` (by default `x.shape`).  With
-    `draw_shape`, that is the leading corner of a `draw_shape` draw: `rng`
-    ends where the full draw would leave it, but only the corner's values
-    are drawn.  With `rows`, `x` holds just those rows of a `(B, W, D)`
-    corner seen as [B * W, D], and each gets its row's mask values; each
-    of the B leading rows is drawn only up to its last position in `rows`.
-    The mask is kept as bool.
-    """
+def dropout(x: Tensor, rate: float, mode: str,
+            rng: np.random.Generator) -> Tensor:
+    """Inverted dropout; identity in eval mode or at rate 0.  The mask is
+    kept as bool."""
     if not 0.0 <= rate < 1.0:
         raise ArgumentError(f"dropout rate must be in [0, 1), got {rate}")
     if mode == "eval" or rate == 0.0:
         return x
     if mode != "train":
         raise ArgumentError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    draws = np.empty(corner or x.shape)
-    full = tuple(draw_shape or draws.shape)
-    if rows is None:
-        _draw_corner(rng, draws, full)
-    else:  # past each row's end nothing is drawn, so compare only `rows`
-        ends = np.zeros(draws.shape[0], dtype=np.intp)
-        np.maximum.at(ends, rows // draws.shape[1], rows % draws.shape[1] + 1)
-        _draw_corner(rng, draws, full, ends)
-        draws = draws.reshape(-1, x.shape[-1])[rows]
-    keep = (draws >= rate).reshape(x.shape)
+    keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     out_data = x.data * keep * scale
 
@@ -252,23 +233,6 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator,
             x.accumulate_grad(g * keep * scale)
 
     return Tensor(out_data, _parents=(x,), _backward=bwd)
-
-
-def _draw_corner(rng: np.random.Generator, out: np.ndarray, full: tuple,
-                 ends: np.ndarray | None = None) -> None:
-    """Fill `out` with the leading corner of `rng.random(full)`, skipping
-    the values outside it with `advance`: `random` fills in C order and
-    takes one 64-bit output per float64 value.  With `ends`, only
-    `out[i, :ends[i]]` is filled, and the rest of each row is skipped."""
-    if ends is not None:
-        for row, end in zip(out, ends):
-            _draw_corner(rng, row[:end], full[1:])
-    elif out.shape[1:] == full[1:]:
-        rng.random(out=out)
-    else:
-        for row in out:
-            _draw_corner(rng, row, full[1:])
-    rng.bit_generator.advance((full[0] - out.shape[0]) * math.prod(full[1:]))
 
 
 # -- loss --------------------------------------------------------------

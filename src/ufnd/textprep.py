@@ -259,7 +259,7 @@ def encode_corpus(corpus: Corpus | TokenizedCorpus, vocab: Vocabulary,
 
 
 def seq_length_stats(corpus: Corpus | TokenizedCorpus,
-                     vocab: Vocabulary | None, cfg: PrepConfig) -> dict:
+                     cfg: PrepConfig) -> dict:
     """Pre-truncation token-count statistics with and without removal."""
     tokens = _tokenized(corpus, cfg, "seq_length_stats")
 

@@ -77,9 +77,9 @@ def check_acceptable(accuracy: float, baseline: float,
 
 def load_baselines(path) -> dict[str, float]:
     """Delimited baseline table: dataset-id <TAB> accuracy <TAB> citation.
-    A line without an accuracy in (0, 1] is a `DataError` naming the file
-    and line."""
-    baselines = {}
+    A line without an accuracy in (0, 1], or with a dataset id an earlier
+    line gave, is a `DataError` naming the file and the lines."""
+    baselines, lines = {}, {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -93,7 +93,10 @@ def load_baselines(path) -> dict[str, float]:
             if not 0.0 < accuracy <= 1.0:  # false for nan
                 raise DataError(f"{path}:{line_no}: expected dataset-id <TAB> "
                                 f"accuracy in (0, 1], got {line!r}")
-            baselines[parts[0]] = accuracy
+            if parts[0] in lines:
+                raise DataError(f"{path}:{line_no}: dataset id {parts[0]!r} "
+                                f"repeats line {lines[parts[0]]}")
+            baselines[parts[0]], lines[parts[0]] = accuracy, line_no
     return baselines
 
 

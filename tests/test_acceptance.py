@@ -145,7 +145,7 @@ class TestCriterion4PreprocessingRule:
 
         corpus = make_synthetic_corpus(200, "stats", seed=4)
         cfg = PrepConfig(min_word_len=3)
-        stats = seq_length_stats(corpus, None, cfg)
+        stats = seq_length_stats(corpus, cfg)
         stats_ok = True
         for doc, w, wo in zip(corpus, stats["per_doc_with"],
                               stats["per_doc_without"]):

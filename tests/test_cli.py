@@ -437,6 +437,14 @@ class TestBadUnifyInputs:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'baselines.tsv'}:4:" in err and repr(line) in err
 
+    def test_repeated_baseline_id_exits_2_naming_file_and_both_lines(
+            self, prepped, tmp_path, monkeypatch, capsys):
+        assert self._unify(prepped, tmp_path, monkeypatch,
+                           "ds1\t0.5\nds2\t0.5\nds1\t0.7\n") == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'baselines.tsv'}:3: dataset id 'ds1' repeats " \
+            "line 1" in err
+
     def test_dataset_without_a_baseline_exits_2_naming_file_and_dataset(
             self, prepped, tmp_path, monkeypatch, capsys):
         assert self._unify(prepped, tmp_path, monkeypatch,

@@ -45,6 +45,11 @@ class TestEncoderConfig:
         with pytest.raises(ArgumentError):
             tiny_encoder_config(block_subset=())
 
+    @pytest.mark.parametrize("rate", [1.0, -0.1])
+    def test_dropout_rate_range(self, rate):
+        with pytest.raises(ArgumentError):
+            tiny_encoder_config(dropout_rate=rate)
+
     def test_select_blocks(self):
         cfg = select_blocks(tiny_encoder_config(), (1, 3))
         assert cfg.block_subset == (1, 3)
@@ -102,6 +107,15 @@ class TestEncodeSequence:
         mask[0] = 0.0
         with pytest.raises(ContractError):
             encode_sequence(ids, mask, params, cfg, "eval",
+                            np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_unknown_mode_rejected(self, rate):
+        cfg = tiny_encoder_config(dropout_rate=rate)
+        params = init_encoder_params(cfg, np.random.default_rng(0))
+        ids, mask, _ = small_batch(vocab_size=30)
+        with pytest.raises(ArgumentError, match="bogus"):
+            encode_sequence(ids, mask, params, cfg, "bogus",
                             np.random.default_rng(0))
 
     def test_fewer_blocks_changes_output(self):
@@ -261,6 +275,89 @@ class TestLayout:
     def test_sample_with_no_real_position_rejected(self):
         with pytest.raises(ContractError):
             Layout(np.array([[1, 1], [0, 0]], dtype=np.float32))
+
+
+class TestDropoutMask:
+    """`Layout.dropout_mask` draws only what the kept positions need and
+    skips the rest with `advance`, which relies on `Generator.random`
+    taking exactly one 64-bit output per float64 value."""
+
+    def test_mask_is_the_leading_corner_of_the_full_draw(self):
+        layout = Layout(np.ones((2, 4), dtype=np.float32))
+        rng = np.random.default_rng(5)
+        keep = layout.dropout_mask(rng, 0.4, 6, 3)
+        full = np.random.default_rng(5).random((2, 6, 3)) >= 0.4
+        np.testing.assert_array_equal(keep, full[:, :4].reshape(-1, 3))
+        assert rng.random() == np.random.default_rng(5).random(37)[-1]
+
+    @pytest.mark.parametrize("width, pooled", [(1, False), (4, False),
+                                               (6, False), (4, True)])
+    def test_corner_draws_match_a_full_draw(self, width, pooled):
+        layout = Layout(np.ones((3, width), dtype=np.float32))
+        full_rng = np.random.default_rng(9)
+        draws = full_rng.random((3, 6, 4))[:, :1 if pooled else width]
+        rng = np.random.default_rng(9)
+        keep = layout.dropout_mask(rng, 0.4, 6, 4, pooled)
+        np.testing.assert_array_equal(keep, (draws >= 0.4).reshape(-1, 4))
+        assert rng.bit_generator.state == full_rng.bit_generator.state
+
+    def test_packed_rows_take_their_positions_draws(self):
+        # Rows 0, 1, 3 and 5 of a (2, 3, 4) corner of a (2, 5, 4) draw.
+        layout = Layout(np.array([[1, 1, 0], [1, 0, 1]], dtype=np.float32))
+        np.testing.assert_array_equal(layout.index, [0, 1, 3, 5])
+        full_rng = np.random.default_rng(9)
+        draws = full_rng.random((2, 5, 4))[:, :3].reshape(-1, 4)[[0, 1, 3, 5]]
+        rng = np.random.default_rng(9)
+        keep = layout.dropout_mask(rng, 0.4, 5, 4)
+        np.testing.assert_array_equal(keep, draws >= 0.4)
+        assert rng.bit_generator.state == full_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_layouts_match_the_full_corner_draw(self, seed):
+        """Masks with holes and full rows, packed as the encoder packs
+        them, the same mask with every position kept, and the pooled
+        position 0: the mask and the stream's end are bitwise those cut
+        from the whole `(B, max_seq_len, D)` draw."""
+        r = np.random.default_rng(seed)
+        batch, max_len, d = (int(n) for n in r.integers(1, 6, 3) + (0, 1, 0))
+        width = int(r.integers(1, max_len + 1))
+        mask = (r.random((batch, width)) < r.random()).astype(np.float32)
+        mask[r.random(batch) < 0.3] = 1.0
+        mask[:, 0] = 1.0
+        packed = Layout(mask)
+        cases = [(packed, False, packed.index),
+                 (Layout(np.ones_like(mask)), False, None),
+                 (packed, True, None)]
+        for layout, pooled, rows in cases:
+            rng = np.random.default_rng(seed + 100)
+            keep = layout.dropout_mask(rng, 0.3, max_len, d, pooled)
+            full_rng = np.random.default_rng(seed + 100)
+            draws = full_rng.random((batch, max_len, d))
+            draws = draws[:, :1 if pooled else width].reshape(-1, d)
+            want = (draws if rows is None else draws[rows]) >= 0.3
+            np.testing.assert_array_equal(keep, want)
+            assert rng.bit_generator.state == full_rng.bit_generator.state
+
+    def test_rows_are_drawn_only_up_to_their_end(self):
+        class Recording:  # a generator that notes how much each fill draws
+            def __init__(self, rng):
+                self.bit_generator, self.rng, self.sizes = \
+                    rng.bit_generator, rng, []
+
+            def random(self, out):
+                self.sizes.append(out.shape)
+                return self.rng.random(out=out)
+
+        layout = Layout(np.array([[1, 0, 0, 1], [1, 0, 0, 0], [1, 1, 0, 0]],
+                                 dtype=np.float32))
+        np.testing.assert_array_equal(layout.ends, [4, 1, 2])
+        rng = Recording(np.random.default_rng(4))
+        keep = layout.dropout_mask(rng, 0.5, 5, 2)
+        assert rng.sizes == [(4, 2), (1, 2), (2, 2)]
+        want = np.random.default_rng(4).random((3, 5, 2))[:, :4].reshape(-1, 2)
+        np.testing.assert_array_equal(keep, want[layout.index] >= 0.5)
+        assert rng.random(np.empty(1))[0] == \
+            np.random.default_rng(4).random(31)[-1]
 
 
 class TestPooledLastBlock:
@@ -529,7 +626,33 @@ class TestSubLayerOps:
         probe(run(fused)).backward()
         np.testing.assert_array_equal(x.grad, y.grad)
 
-    def test_train_step_makes_six_tensors_per_block(self, monkeypatch):
+    def test_add_norm_dropout_is_bitwise_a_dropout_node_then_add_norm(self):
+        """With a mask, `add_norm` is bitwise a dropout node on `y` (the
+        inverted dropout `y * keep * scale` and its gradient) followed by
+        the plain `add_norm`: in its output and in both inputs'
+        gradients."""
+        rng = np.random.default_rng(11)
+        x_data, y_data = rng.standard_normal((2, 9, 8)).astype(np.float32)
+        gain = Parameter(rng.standard_normal(8).astype(np.float32), "gain")
+        bias = Parameter(rng.standard_normal(8).astype(np.float32), "bias")
+        keep, scale = rng.random((9, 8)) >= 0.3, 1.0 / 0.7
+        results = []
+        for fused in (True, False):
+            x, y = Parameter(x_data.copy(), "x"), Parameter(y_data.copy(), "y")
+            if fused:
+                out = add_norm(x, y, gain, bias, 1e-5, keep, scale)
+            else:
+                dropped = Tensor(y.data * keep * scale, _parents=(y,),
+                                 _backward=lambda g, y=y: _give(
+                                     (y, g * keep * scale)))
+                out = add_norm(x, dropped, gain, bias, 1e-5)
+            probe(out).backward()
+            results.append((out.data, x.grad, y.grad))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+
+    def test_train_step_makes_four_tensors_per_block(self, monkeypatch):
         ids, mask, labels = small_batch()
         models = [small_model(block_subset=s) for s in ((1,), (1, 2))]
         counts = []
@@ -543,5 +666,5 @@ class TestSubLayerOps:
         for model in models:
             counts.append(0)
             nll_loss(model.forward(ids, mask, "train"), labels).backward()
-        # attention, dropout, add-norm, feed-forward, dropout, add-norm
-        assert counts[1] - counts[0] == 6
+        # attention, add-norm, feed-forward, add-norm
+        assert counts[1] - counts[0] == 4

@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 from ufnd.autograd import Parameter, Tensor
-from ufnd.encoder import Layout
 from ufnd.errors import ArgumentError, NonFiniteError
 from ufnd.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                            RngStreams, adam_step, assert_all_finite,
                            clip_global_norm, dropout, gelu, grad_check,
                            layer_norm, log_softmax, masked_softmax, nll_loss,
                            relu, xavier_init)
-from ufnd.numerics import (_draw_corner, _erf, _gelu, _gelu_slope,
-                           _masked_softmax)
+from ufnd.numerics import _erf, _gelu, _gelu_slope, _masked_softmax
 
 EPS32 = float(np.finfo(np.float32).eps)
 
@@ -237,88 +235,6 @@ class TestDropout:
     def test_bad_rate(self):
         with pytest.raises(ArgumentError):
             dropout(Tensor(np.ones(2)), 1.0, "train", np.random.default_rng(0))
-
-    def test_draw_shape_keeps_the_leading_corner(self):
-        x = np.random.default_rng(1).standard_normal((2, 6, 3))
-        full = dropout(Tensor(x), 0.4, "train", np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        corner = dropout(Tensor(x[:, :4]), 0.4, "train", rng, (2, 6, 3))
-        np.testing.assert_array_equal(corner.data, full.data[:, :4])
-        assert rng.random() == np.random.default_rng(5).random(37)[-1]
-
-
-    @pytest.mark.parametrize("shape", [(3, 1, 4), (3, 4, 4), (3, 6, 4),
-                                       (2, 4, 4)])
-    def test_corner_draws_match_a_full_draw(self, shape):
-        # Only the corner is drawn and the rest skipped with `advance`,
-        # which relies on `Generator.random` taking exactly one 64-bit
-        # output per float64 value.
-        full_shape = (3, 6, 4)
-        x = np.random.default_rng(1).standard_normal(shape)
-        full_rng = np.random.default_rng(9)
-        draws = full_rng.random(full_shape)[:shape[0], :shape[1]]
-        rng = np.random.default_rng(9)
-        out = dropout(Tensor(x), 0.4, "train", rng, full_shape)
-        keep = (draws >= 0.4).astype(x.dtype)
-        np.testing.assert_array_equal(out.data, x * keep * (1.0 / 0.6))
-        assert rng.bit_generator.state == full_rng.bit_generator.state
-
-
-    def test_packed_rows_take_their_positions_draws(self):
-        # Rows 0, 1, 4 and 5 of a (2, 3, 4) corner of a (2, 5, 4) draw.
-        full_shape, corner, rows = (2, 5, 4), (2, 3, 4), np.array([0, 1, 4, 5])
-        x = np.random.default_rng(1).standard_normal((4, 4))
-        full_rng = np.random.default_rng(9)
-        draws = full_rng.random(full_shape)[:, :3].reshape(-1, 4)[rows]
-        rng = np.random.default_rng(9)
-        out = dropout(Tensor(x), 0.4, "train", rng, full_shape, corner, rows)
-        keep = (draws >= 0.4).astype(x.dtype)
-        np.testing.assert_array_equal(out.data, x * keep * (1.0 / 0.6))
-        assert rng.bit_generator.state == full_rng.bit_generator.state
-
-    @pytest.mark.parametrize("seed", range(24))
-    def test_random_layouts_match_the_full_corner_draw(self, seed):
-        """Masks with holes and full rows, packed as the encoder packs
-        them, and the pooled `(B, 1, D)` corner: output, gradient and the
-        stream's end are bitwise those of a float mask cut from the whole
-        `draw_shape` draw."""
-        r = np.random.default_rng(seed)
-        batch, max_len, d = (int(n) for n in r.integers(1, 6, 3) + (0, 1, 0))
-        width = int(r.integers(1, max_len + 1))
-        mask = (r.random((batch, width)) < r.random()).astype(np.float32)
-        mask[r.random(batch) < 0.3] = 1.0
-        mask[:, 0] = 1.0
-        layout = Layout(mask)
-        draw_shape = (batch, max_len, d)
-        cases = [((batch, width, d), layout.index),
-                 ((batch, width, d), np.arange(batch * width)),
-                 ((batch, 1, d), None)]
-        for corner, rows in cases:
-            n = batch * corner[1] if rows is None else rows.size
-            x = Parameter(r.standard_normal((n, d)).astype(np.float32), "x")
-            rng = np.random.default_rng(seed + 100)
-            out = dropout(x, 0.3, "train", rng, draw_shape, corner, rows)
-            out.backward()
-            full_rng = np.random.default_rng(seed + 100)
-            draws = full_rng.random(draw_shape)[:, :corner[1]].reshape(-1, d)
-            keep = (draws if rows is None else draws[rows]) >= 0.3
-            keep = keep.astype(np.float32)
-            scale = 1.0 / 0.7
-            np.testing.assert_array_equal(out.data, x.data * keep * scale)
-            np.testing.assert_array_equal(
-                x.grad, np.ones((n, d), np.float32) * keep * scale)
-            assert rng.bit_generator.state == full_rng.bit_generator.state
-
-    def test_rows_are_drawn_only_up_to_their_end(self):
-        full = (3, 5, 2)
-        out = np.full((3, 4, 2), np.nan)
-        rng = np.random.default_rng(4)
-        _draw_corner(rng, out, full, np.array([4, 0, 2]))
-        want = np.random.default_rng(4).random(full)[:, :4]
-        np.testing.assert_array_equal(out[0], want[0])
-        np.testing.assert_array_equal(out[2, :2], want[2, :2])
-        assert np.isnan(out[1]).all() and np.isnan(out[2, 2:]).all()
-        assert rng.random() == np.random.default_rng(4).random(31)[-1]
 
 
 class TestMaskedSoftmax:

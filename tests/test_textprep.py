@@ -212,8 +212,7 @@ class TestTokenizeCorpus:
         tokens = tokenize_corpus(corpus, cfg)
         vocab = build_vocab(corpus, cfg, max_size=3)
         assert build_vocab(tokens, cfg, max_size=3) == vocab
-        assert seq_length_stats(tokens, vocab, cfg) == \
-            seq_length_stats(corpus, vocab, cfg)
+        assert seq_length_stats(tokens, cfg) == seq_length_stats(corpus, cfg)
         a, b = (encode_corpus(c, vocab, cfg) for c in (corpus, tokens))
         for name in ("ids", "mask", "labels", "true_lengths"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
@@ -231,7 +230,7 @@ class TestTokenizeCorpus:
 class TestSeqLengthStats:
     def test_counts_against_hand_oracle(self):
         corpus = corpus_of(["it is a hoax", "the media lied today ok"])
-        stats = seq_length_stats(corpus, None, PrepConfig(min_word_len=3))
+        stats = seq_length_stats(corpus, PrepConfig(min_word_len=3))
         assert stats["per_doc_without"] == [4, 5]
         assert stats["per_doc_with"] == [1, 4]
         assert stats["without_removal"]["mean"] == 4.5
@@ -241,7 +240,7 @@ class TestSeqLengthStats:
     def test_removal_never_lengthens(self):
         corpus = corpus_of([
             "a bb ccc dddd", "the of and", "longwords only here"])
-        stats = seq_length_stats(corpus, None, PrepConfig(min_word_len=3))
+        stats = seq_length_stats(corpus, PrepConfig(min_word_len=3))
         for w, wo in zip(stats["per_doc_with"], stats["per_doc_without"]):
             assert w <= wo
 

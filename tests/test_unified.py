@@ -91,6 +91,14 @@ class TestLoadBaselines:
         with pytest.raises(DataError, match=re.escape(f"{p}:1:")):
             load_baselines(p)
 
+    def test_repeated_dataset_id(self, tmp_path):
+        p = tmp_path / "b.tsv"
+        p.write_text("ds1\t0.9\n# note\nds2\t0.8\nds1\t0.5\n")
+        with pytest.raises(DataError,
+                           match=re.escape(f"{p}:4: dataset id 'ds1' repeats "
+                                           f"line 1")):
+            load_baselines(p)
+
 
 class TestPhaseOne:
     def _datasets(self):
