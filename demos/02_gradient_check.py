@@ -16,8 +16,7 @@ def build_model(dtype):
     enc = EncoderConfig(vocab_size=50, d_model=8, n_heads=2, d_ff=16,
                         max_seq_len=8, n_blocks_total=2, block_subset=(1, 2),
                         dropout_rate=0.0)
-    config = ModelConfig(encoder=enc, head=HeadConfig(d_in=8,
-                                                      dropout_rate=0.0))
+    config = ModelConfig(encoder=enc, head=HeadConfig(h1=200, h2=150))
     return Model(config, RngStreams(3), dtype=dtype)
 
 

@@ -137,25 +137,38 @@ def parse_config_file(path) -> dict[str, str]:
     return config
 
 
+# An override flag's `dest` is the config key it sets over the file's
+# value; `--preprocess on|off` sets `prep.min_word_len` to 3 or 1.
+ON_OFF = ("on", "off")
+FLAGS = {
+    "--seed": {"dest": "train.seed", "type": int},
+    "--batch-size": {"dest": "train.batch_size", "type": int},
+    "--epochs": {"dest": "train.epochs", "type": int},
+    "--max-seq-len": {"dest": "prep.max_seq_len", "type": int},
+    "--preprocess": {"dest": "prep.min_word_len", "choices": ON_OFF},
+    "--blocks": {"dest": "model.block_subset",
+                 "help": "comma-separated 1-based encoder block indices"},
+    "--freeze-encoder": {"dest": "train.freeze_encoder", "choices": ON_OFF},
+    "--threshold": {"dest": "unify.threshold", "type": float},
+    "--checkpoint": {"required": True}, "--data": {"required": True},
+}
+# The flags of each command besides `--config` and `--out`.  `unify` and
+# `ablate` set each cell's batch size, and `ablate` each cell's blocks.
+COMMAND_FLAGS = {
+    "prep": "--seed --max-seq-len --preprocess",
+    "train": "--seed --batch-size --epochs --blocks --freeze-encoder",
+    "unify": "--seed --epochs --blocks --freeze-encoder --threshold",
+    "ablate": "--seed --epochs --freeze-encoder",
+    "eval": "--checkpoint --data",
+}
+
+
 def resolve_config(args) -> dict[str, str]:
-    config = {}
-    if args.config:
-        config.update(parse_config_file(args.config))
-    overrides = {
-        "train.seed": args.seed,
-        "train.batch_size": args.batch_size,
-        "train.epochs": args.epochs,
-        "prep.max_seq_len": args.max_seq_len,
-        "unify.threshold": args.threshold,
-    }
-    if args.preprocess is not None:
-        overrides["prep.min_word_len"] = 3 if args.preprocess == "on" else 1
-    if args.freeze_encoder is not None:
-        overrides["train.freeze_encoder"] = args.freeze_encoder == "on"
-    if args.blocks is not None:
-        overrides["model.block_subset"] = args.blocks
-    for key, value in overrides.items():
-        if value is not None:
+    config = parse_config_file(args.config) if args.config else {}
+    for key, value in vars(args).items():
+        if key in KEYS and value is not None:
+            if key == "prep.min_word_len":
+                value = 3 if value == "on" else 1
             config[key] = str(value)
     return config
 
@@ -261,15 +274,13 @@ def _configs(settings: dict, meta: dict) -> tuple[ModelConfig, TrainConfig]:
     encoder = _given(settings, "model.", EncoderConfig)
     head = _given(settings, "model.", HeadConfig)
     if "train.dropout_rate" in settings:
-        encoder["dropout_rate"] = head["dropout_rate"] = \
-            settings["train.dropout_rate"]
+        encoder["dropout_rate"] = settings["train.dropout_rate"]
     if "model.n_blocks_total" in settings:
         encoder.setdefault("block_subset", tuple(
             range(1, settings["model.n_blocks_total"] + 1)))
     with _config_class_errors():
-        enc = replace(desk.encoder, **encoder)
-        return (ModelConfig(encoder=enc, head=replace(
-                    desk.head, d_in=enc.d_model, **head)),
+        return (ModelConfig(encoder=replace(desk.encoder, **encoder),
+                            head=replace(desk.head, **head)),
                 TrainConfig(**_given(settings, "train.", TrainConfig)))
 
 
@@ -611,20 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", required=True)
-        p.add_argument("--batch-size", type=int, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--max-seq-len", type=int, default=None)
-        p.add_argument("--preprocess", choices=("on", "off"), default=None)
-        p.add_argument("--blocks", default=None,
-                       help="comma-separated 1-based encoder block indices")
-        p.add_argument("--freeze-encoder", choices=("on", "off"),
-                       default=None)
-        p.add_argument("--threshold", type=float, default=None)
-        if name == "eval":
-            p.add_argument("--checkpoint", required=True)
-            p.add_argument("--data", required=True)
+        for flag in COMMAND_FLAGS[name].split():
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 

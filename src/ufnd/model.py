@@ -3,11 +3,12 @@ flat named-array view of its state for checkpointing."""
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Parameter, Tensor
+from .autograd import Parameter, Tensor, no_grad
 from .classifier import (HeadConfig, HeadParams, head_forward,
                          init_head_params)
 from .encoder import (EncoderConfig, EncoderParams, encode_sequence,
@@ -20,12 +21,6 @@ class ModelConfig:
     encoder: EncoderConfig
     head: HeadConfig
 
-    def __post_init__(self):
-        if self.encoder.d_model != self.head.d_in:
-            raise ValueError(
-                f"head d_in {self.head.d_in} must equal encoder d_model "
-                f"{self.encoder.d_model}")
-
 
 def tiny_config(vocab_size: int = 64, max_seq_len: int = 16,
                 block_subset=(1, 2), dropout_rate: float = 0.1,
@@ -35,8 +30,7 @@ def tiny_config(vocab_size: int = 64, max_seq_len: int = 16,
                         d_ff=32, max_seq_len=max_seq_len, n_blocks_total=2,
                         block_subset=tuple(block_subset),
                         dropout_rate=dropout_rate)
-    return ModelConfig(encoder=enc, head=HeadConfig(
-        d_in=16, h1=h1, h2=h2, dropout_rate=dropout_rate))
+    return ModelConfig(encoder=enc, head=HeadConfig(h1=h1, h2=h2))
 
 
 def desk_config(vocab_size: int = 8000, max_seq_len: int = 120,
@@ -45,7 +39,7 @@ def desk_config(vocab_size: int = 8000, max_seq_len: int = 120,
     enc = EncoderConfig(vocab_size=vocab_size, d_model=64, n_heads=4,
                         d_ff=256, max_seq_len=max_seq_len, n_blocks_total=12,
                         block_subset=tuple(block_subset))
-    return ModelConfig(encoder=enc, head=HeadConfig(d_in=64))
+    return ModelConfig(encoder=enc, head=HeadConfig())
 
 
 class Model:
@@ -65,19 +59,23 @@ class Model:
         self.encoder_params: EncoderParams = init_encoder_params(
             config.encoder, init, dtype, arrays)
         self.head_params: HeadParams = init_head_params(
-            config.head, init, dtype, arrays)
+            config.head, config.encoder.d_model, init, dtype, arrays)
 
     def reinit_head(self) -> None:
         """Fresh random head weights (phase-2 re-initialization)."""
         self.head_params = init_head_params(
-            self.config.head, self.rng.stream("init"), self.dtype)
+            self.config.head, self.config.encoder.d_model,
+            self.rng.stream("init"), self.dtype)
 
-    def forward(self, ids: np.ndarray, mask: np.ndarray, mode: str) -> Tensor:
+    def forward(self, ids: np.ndarray, mask: np.ndarray, mode: str,
+                freeze_encoder: bool = False) -> Tensor:
+        """Log-probabilities per row; a frozen encoder records no graph."""
         drop = self.rng.stream("dropout")
-        pooled = encode_sequence(ids, mask, self.encoder_params,
-                                 self.config.encoder, mode, drop)
-        return head_forward(pooled, self.head_params, self.config.head,
-                            mode, drop)
+        with no_grad() if freeze_encoder else nullcontext():
+            pooled = encode_sequence(ids, mask, self.encoder_params,
+                                     self.config.encoder, mode, drop)
+        return head_forward(pooled, self.head_params,
+                            self.config.encoder.dropout_rate, mode, drop)
 
     # -- parameter access ---------------------------------------------
 

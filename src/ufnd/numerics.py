@@ -27,7 +27,7 @@ class RngStreams:
     """
 
     ALGORITHM = "numpy-PCG64"
-    _STREAM_INDEX = {"init": 0, "dropout": 1, "shuffle": 2}
+    _STREAM_INDEX = {"init": 0, "dropout": 1}
 
     def __init__(self, seed: int):
         self.seed = int(seed)
@@ -50,7 +50,8 @@ class RngStreams:
 
     def restore(self, state: dict) -> None:
         for name, st in state.items():
-            self.stream(name).bit_generator.state = st
+            if name != "shuffle":  # retired, never drawn from
+                self.stream(name).bit_generator.state = st
 
 
 # -- activations and normalizations ------------------------------------

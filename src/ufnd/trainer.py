@@ -21,7 +21,7 @@ import numpy as np
 
 from .autograd import no_grad
 from .checkpoint import Checkpoint
-from .classifier import HeadConfig, predict
+from .classifier import BN_EPS, BN_MOMENTUM, N_CLASSES, HeadConfig, predict
 from .encoder import EncoderConfig
 from .errors import ArgumentError, IncompatibilityError, NonFiniteError
 from .metrics import Metrics, compute_metrics, confusion
@@ -230,13 +230,29 @@ def best_arrays(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     return state
 
 
+def head_config(head: dict, encoder: EncoderConfig) -> HeadConfig:
+    """The `HeadConfig` of a checkpoint header's `head` dict.  Headers
+    written before the head config held only its widths carry five more
+    keys; each is dropped if it holds the value the model now uses, and
+    is otherwise an `IncompatibilityError`."""
+    now = {"d_in": encoder.d_model, "dropout_rate": encoder.dropout_rate,
+           "n_classes": N_CLASSES, "bn_momentum": BN_MOMENTUM,
+           "bn_eps": BN_EPS}
+    for key, value in now.items():
+        if head.get(key, value) != value:
+            raise IncompatibilityError(f"checkpoint head {key} = {head[key]!r}"
+                                       f" but the model uses {value!r}")
+    return HeadConfig(**{k: v for k, v in head.items() if k not in now})
+
+
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, TrainConfig]:
     """The model whose parameters are the checkpoint's `best/` arrays
     themselves (not copies), and its training config."""
     enc_cfg = dict(ckpt.config["encoder"])
     enc_cfg["block_subset"] = tuple(enc_cfg["block_subset"])
-    config = ModelConfig(encoder=EncoderConfig(**enc_cfg),
-                         head=HeadConfig(**ckpt.config["head"]))
+    encoder = EncoderConfig(**enc_cfg)
+    config = ModelConfig(encoder=encoder,
+                         head=head_config(ckpt.config["head"], encoder))
     cfg = TrainConfig(**{k: v for k, v in ckpt.config["train"].items()
                          if k not in RETIRED_TRAIN_FIELDS})
     dtype = np.dtype(ckpt.config.get("dtype", "<f4"))
@@ -254,7 +270,8 @@ def _train_step(model: Model, params: list, adam: dict, cfg: TrainConfig,
     themselves outlive it, and they are freed on return, before the next
     forward or the epoch's validation."""
     model.zero_grad()
-    out = model.forward(ds.ids[idx], ds.mask[idx], "train")
+    out = model.forward(ds.ids[idx], ds.mask[idx], "train",
+                        cfg.freeze_encoder)
     loss = nll_loss(out, ds.labels[idx])
     if cfg.checked and not np.isfinite(loss.data):
         raise NonFiniteError("loss")
@@ -288,6 +305,8 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
         if mode != "rollback":  # its last weights are not its best/
             raise IncompatibilityError(f"cannot resume a checkpoint trained "
                                        f"with best_mode={mode!r}")
+        # An older header's head keys must hold the values the model uses.
+        head_config(resume.config["head"], model.config.encoder)
         best_state = best_arrays(resume)  # read, never written
         model.load_state_arrays(best_state)
         model.rng.restore(resume.meta["rng_state"])
@@ -375,6 +394,6 @@ def estimate_cost(encoder_cfg: EncoderConfig, head_cfg: HeadConfig,
     encoder = (batch_size * width * d
                + (n_blocks - 1) * block(real, batch_size * width)
                + block(batch_size, batch_size))
-    head = (head_cfg.d_in * head_cfg.h1 + head_cfg.h1 * head_cfg.h2
-            + head_cfg.h2 * head_cfg.n_classes)
+    head = (d * head_cfg.h1 + head_cfg.h1 * head_cfg.h2
+            + head_cfg.h2 * N_CLASSES)
     return 3.0 * (encoder + batch_size * head)

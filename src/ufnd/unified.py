@@ -69,9 +69,9 @@ def check_acceptable(accuracy: float, baseline: float,
     threshold (a negative deficit, i.e. exceeding the baseline, passes)."""
     if threshold <= 0:
         raise ArgumentError(f"threshold must be positive, got {threshold}")
-    for name, value in (("accuracy", accuracy), ("baseline", baseline)):
-        if not 0.0 < value <= 1.0:
-            raise ArgumentError(f"{name} must be in (0, 1], got {value}")
+    if not (0.0 <= accuracy <= 1.0 and 0.0 < baseline <= 1.0):
+        raise ArgumentError(f"need accuracy in [0, 1] and baseline in "
+                            f"(0, 1], got {accuracy} and {baseline}")
     return (baseline - accuracy) <= threshold
 
 
@@ -267,13 +267,14 @@ def phase_one(datasets: list[EncodedSplit], model_cfg: ModelConfig,
 
     cells, best = sweep([ds.name for ds in datasets], batch_sizes,
                         train_cell)
-    result = PhaseOneResult(accepted=False, cells=cells)
+    result = PhaseOneResult(accepted=True, cells=cells)
     for ds, (cell, ckpt) in zip(datasets, best):
         result.chosen_batch_sizes[ds.name] = cell.batch_size
         result.best_metrics[ds.name] = cell.metrics
         result.deficits[ds.name] = baselines[ds.name] - cell.metrics.accuracy
         result.best_checkpoints[ds.name] = ckpt
-    result.accepted = all(d <= threshold for d in result.deficits.values())
+        result.accepted &= check_acceptable(cell.metrics.accuracy,
+                                            baselines[ds.name], threshold)
     return result
 
 

@@ -24,8 +24,7 @@ def small_model(seed=3, dtype=np.float32, dropout_rate=0.1,
                         max_seq_len=8, n_blocks_total=2,
                         block_subset=tuple(block_subset),
                         dropout_rate=dropout_rate)
-    config = ModelConfig(encoder=enc,
-                         head=HeadConfig(d_in=8, dropout_rate=dropout_rate))
+    config = ModelConfig(encoder=enc, head=HeadConfig(h1=200, h2=150))
     return Model(config, RngStreams(seed), dtype=dtype)
 
 
@@ -71,6 +70,22 @@ def legacy_checkpoint(ckpt: Checkpoint, best_mode: str) -> Checkpoint:
                     for name, arr in ckpt.tensors.items()
                     if name.startswith("best/")})
     return Checkpoint(config=config, tensors=tensors, meta=ckpt.meta)
+
+
+def with_retired_head_keys(ckpt: Checkpoint, **values) -> Checkpoint:
+    """`ckpt` as written while the head config also held its input width,
+    class count, dropout rate and batch-norm momentum and epsilon (the
+    values the model uses, or `values`), and the rng had a `shuffle`
+    stream, which nothing drew from."""
+    config, meta = copy.deepcopy(ckpt.config), copy.deepcopy(ckpt.meta)
+    encoder, head = config["encoder"], config["head"]
+    config["head"] = {"d_in": encoder["d_model"], "h1": head["h1"],
+                      "h2": head["h2"], "n_classes": 2,
+                      "dropout_rate": encoder["dropout_rate"],
+                      "bn_momentum": 0.1, "bn_eps": 1e-5, **values}
+    meta["rng_state"]["shuffle"] = np.random.PCG64(np.random.SeedSequence(
+        entropy=config["train"]["seed"], spawn_key=(2,))).state
+    return Checkpoint(config=config, tensors=ckpt.tensors, meta=meta)
 
 
 def with_removed_biases(ckpt: Checkpoint, seed: int = 0) -> Checkpoint:

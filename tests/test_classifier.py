@@ -2,38 +2,47 @@ import numpy as np
 import pytest
 
 from ufnd.autograd import Parameter, Tensor
-from ufnd.classifier import (HeadConfig, bn_forward, head_forward,
+from ufnd import classifier
+from ufnd.classifier import (N_CLASSES, HeadConfig, bn_forward, head_forward,
                              init_head_params, predict)
 from ufnd.errors import ArgumentError, ContractError
 from ufnd.numerics import grad_check, nll_loss
 
 
-def make_head(d_in=8, dropout_rate=0.0, seed=0, dtype=np.float32, **kw):
-    cfg = HeadConfig(d_in=d_in, dropout_rate=dropout_rate, **kw)
-    return cfg, init_head_params(cfg, np.random.default_rng(seed), dtype)
+def make_head(d_in=8, seed=0, dtype=np.float32):
+    """Fresh parameters of a default-width head."""
+    return init_head_params(HeadConfig(h1=200, h2=150), d_in,
+                            np.random.default_rng(seed), dtype)
 
 
 class TestHeadConfig:
     def test_default_widths(self):
-        cfg = HeadConfig(d_in=64)
-        assert cfg.widths == (64, 200, 150, 2)
+        assert HeadConfig() == HeadConfig(h1=200, h2=150)
+        params = make_head(d_in=64)
+        assert [p.data.shape for p in (params.l1_w, params.l2_w,
+                                       params.l3_w)] == [
+            (200, 64), (150, 200), (N_CLASSES, 150)]
 
     def test_validation(self):
         with pytest.raises(ArgumentError):
-            HeadConfig(d_in=0)
+            HeadConfig(h1=0)
         with pytest.raises(ArgumentError):
-            HeadConfig(d_in=8, dropout_rate=1.0)
+            HeadConfig(h2=0)
 
 
 class TestBatchNorm:
+    @pytest.fixture(autouse=True)
+    def tiny_eps(self, monkeypatch):
+        # An epsilon far below these variances, so the checks are exact.
+        monkeypatch.setattr(classifier, "BN_EPS", 1e-12)
+
     def _bn(self, width):
         from ufnd.classifier import BatchNormState
         return BatchNormState(
             gain=Parameter(np.ones(width, dtype=np.float64), "bn/gain"),
             bias=Parameter(np.zeros(width, dtype=np.float64), "bn/bias"),
             running_mean=np.zeros(width),
-            running_var=np.ones(width),
-            momentum=0.1, eps=1e-12)
+            running_var=np.ones(width))
 
     def test_train_normalizes_batch(self):
         rng = np.random.default_rng(0)
@@ -90,10 +99,10 @@ class TestBatchNorm:
 
 class TestHeadForward:
     def test_output_is_log_distribution(self):
-        cfg, params = make_head()
+        params = make_head()
         rng = np.random.default_rng(0)
         pooled = Tensor(rng.standard_normal((16, 8)).astype(np.float32))
-        out = head_forward(pooled, params, cfg, "train",
+        out = head_forward(pooled, params, 0.0, "train",
                            np.random.default_rng(1))
         assert out.shape == (16, 2)
         assert np.all(out.data <= 0.0)
@@ -101,34 +110,34 @@ class TestHeadForward:
                                    atol=1e-5)
 
     def test_train_batch_one_rejected(self):
-        cfg, params = make_head()
+        params = make_head()
         with pytest.raises(ContractError):
             head_forward(Tensor(np.ones((1, 8), dtype=np.float32)), params,
-                         cfg, "train", np.random.default_rng(0))
+                         0.0, "train", np.random.default_rng(0))
 
     def test_eval_single_sample_allowed(self):
-        cfg, params = make_head()
+        params = make_head()
         out = head_forward(Tensor(np.ones((1, 8), dtype=np.float32)), params,
-                           cfg, "eval", np.random.default_rng(0))
+                           0.0, "eval", np.random.default_rng(0))
         assert out.shape == (1, 2)
 
     def test_eval_deterministic(self):
-        cfg, params = make_head(dropout_rate=0.5)
+        params = make_head()
         x = Tensor(np.random.default_rng(3).standard_normal((4, 8)).astype(
             np.float32))
-        a = head_forward(x, params, cfg, "eval", np.random.default_rng(0))
-        b = head_forward(x, params, cfg, "eval", np.random.default_rng(7))
+        a = head_forward(x, params, 0.5, "eval", np.random.default_rng(0))
+        b = head_forward(x, params, 0.5, "eval", np.random.default_rng(7))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_gradient_check_float64(self):
-        cfg, params = make_head(dtype=np.float64, seed=5)
+        params = make_head(dtype=np.float64, seed=5)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 8))
         y = rng.integers(0, 2, size=8)
 
         def loss_fn():
             # eval mode: deterministic, running stats untouched by grads
-            return nll_loss(head_forward(Tensor(x), params, cfg, "eval",
+            return nll_loss(head_forward(Tensor(x), params, 0.0, "eval",
                                          np.random.default_rng(0)), y)
 
         res = grad_check(loss_fn, params.parameters(), eps=1e-5,

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import legacy_checkpoint, with_removed_biases
+from conftest import (legacy_checkpoint, with_removed_biases,
+                      with_retired_head_keys)
 from ufnd import cli, unified
 from ufnd.autograd import no_grad
 from ufnd.checkpoint import load_checkpoint, save_checkpoint
@@ -111,10 +112,9 @@ class TestConfigPlumbing:
     def test_flag_overrides_file(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("train.seed = 1\nprep.min_word_len = 3\n")
-        args = type("A", (), {
-            "config": str(p), "seed": 9, "batch_size": None, "epochs": None,
-            "max_seq_len": None, "threshold": None, "preprocess": "off",
-            "freeze_encoder": None, "blocks": None})
+        args = cli.build_parser().parse_args([
+            "prep", "--config", str(p), "--out", "o", "--seed", "9",
+            "--preprocess", "off"])
         config = resolve_config(args)
         assert config["train.seed"] == "9"
         assert config["prep.min_word_len"] == "1"
@@ -497,6 +497,115 @@ class Seen(Exception):
     """Raised by a stand-in to stop a command once it has its configs."""
 
 
+# The flags each command takes besides `--config` and `--out`, 28
+# (command, flag) pairs in all, and for each override flag a value that
+# differs from its key's value in `TestFlags`'s config.
+TAKEN = {"prep": ("--seed", "--max-seq-len", "--preprocess"),
+         "train": ("--seed", "--batch-size", "--epochs", "--blocks",
+                   "--freeze-encoder"),
+         "unify": ("--seed", "--epochs", "--blocks", "--freeze-encoder",
+                   "--threshold"),
+         "ablate": ("--seed", "--epochs", "--freeze-encoder"),
+         "eval": ("--checkpoint", "--data")}
+FLAG_VALUES = {"--seed": "5", "--batch-size": "4", "--epochs": "1",
+               "--max-seq-len": "10", "--preprocess": "off",
+               "--blocks": "1", "--freeze-encoder": "on",
+               "--threshold": "0.5"}
+
+
+class TestFlags:
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        """A config that every command but `eval` runs from."""
+        tmp_path = tmp_path_factory.mktemp("flags")
+        config, prep_out = run_prep(tmp_path)
+        (tmp_path / "baselines.tsv").write_text("dataset1\t0.5\tfloor\n")
+        path = tmp_path / "all.cfg"
+        path.write_text(config.read_text() + "".join(
+            f"{key} = {prep_out / name}\n" for key, name in (
+                ("data.train", "ds1.train.npz"),
+                ("data.test", "ds1.test.npz"),
+                ("dataset1.train", "ds1.train.npz"),
+                ("dataset1.test", "ds1.test.npz"),
+                ("combined.train", "combined.train.npz"),
+                ("combined.test", "combined.test.npz")))
+            + f"baselines = {tmp_path / 'baselines.tsv'}\n"
+            + "ablate.subsets = 1,2;2\n")
+        return path
+
+    @staticmethod
+    def _handed_on(command, config, out, monkeypatch, flags=()):
+        """What `command` run with `flags` hands to the library: the split
+        seeds and the prep config, or the model and training configs with
+        the threshold or the grid."""
+        seen = []
+
+        def stop(*values):
+            seen.extend(values)
+            raise Seen
+
+        def split_indices(n, ratio, seed, split=cli.split_indices):
+            seen.append(seed)
+            return split(n, ratio, seed)
+
+        monkeypatch.setattr(cli, "split_indices", split_indices)
+        monkeypatch.setattr(cli, "tokenize_corpus",
+                            lambda corpus, prep: stop(prep))
+        monkeypatch.setattr(cli, "train",
+                            lambda model, train_ds, val_ds, cfg:
+                            stop(model.config, cfg))
+        monkeypatch.setattr(cli, "phase_one",
+                            lambda datasets, mc, tc, baselines, threshold,
+                            batch_sizes: stop(mc, tc, threshold))
+        monkeypatch.setattr(cli, "ablate",
+                            lambda combined, mc, tc, grid: stop(mc, tc, grid))
+        with pytest.raises(Seen):
+            main([command, "--config", str(config), "--out", str(out),
+                  *flags])
+        return seen
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in TAKEN.items()
+        for flag in flags if flag in FLAG_VALUES])
+    def test_each_flag_feeds_a_setting_the_command_reads(
+            self, command, flag, config, tmp_path, monkeypatch):
+        """The flag counterpart of `test_every_config_key_feeds_a_setting`:
+        the flag changes what the command hands on."""
+        assert self._handed_on(command, config, tmp_path / "with",
+                               monkeypatch, (flag, FLAG_VALUES[flag])) != \
+            self._handed_on(command, config, tmp_path / "without",
+                            monkeypatch)
+
+    @pytest.mark.parametrize("command", TAKEN)
+    def test_a_flag_the_command_does_not_take_exits_2(self, command,
+                                                       capsys):
+        assert sum(2 + len(flags) for flags in TAKEN.values()) == 28
+        required = ["--out", "o"]
+        if command == "eval":
+            required += ["--checkpoint", "c", "--data", "d"]
+        for flag in [*FLAG_VALUES, "--checkpoint", "--data"]:
+            argv = [command, *required, flag, FLAG_VALUES.get(flag, "x")]
+            if flag in TAKEN[command]:
+                cli.build_parser().parse_args(argv)
+                continue
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 2, flag
+            assert f"unrecognized arguments: {flag}" in \
+                capsys.readouterr().err
+
+    def test_eval_epochs_and_ablate_blocks_exit_2(self, config, tmp_path,
+                                                  capsys):
+        for argv in (["eval", "--checkpoint", "c", "--data", "d",
+                      "--epochs", "5"],
+                     ["ablate", "--config", str(config), "--blocks", "1,9"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigsHandedOn:
     @pytest.fixture(scope="class")
     def prepped(self, tmp_path_factory):
@@ -553,7 +662,6 @@ class TestConfigsHandedOn:
         model_cfg, train_cfg, grid = seen["ablate"]
         assert model_cfg.encoder.block_subset == (1, 2, 3, 4)
         assert model_cfg.encoder.dropout_rate == 0.3
-        assert model_cfg.head.dropout_rate == 0.3
         assert train_cfg.lr == 0.01
         assert grid == AblationGrid(block_subsets=((1, 3), (2,)))
         assert seen["unify"] == ((model_cfg, train_cfg), (8,))
@@ -916,6 +1024,27 @@ class TestInputFiles:
             assert self._eval(old, data, tmp_path / mode) == 0
             assert (tmp_path / mode / "out" / "metrics.txt").read_text() \
                 == expected
+
+    def test_header_with_the_retired_head_keys_evaluates_as_a_new_one(
+            self, trained, tmp_path, capsys):
+        """A header whose head config holds all seven old keys (and whose
+        rng state has a `shuffle` stream) gives today's metrics; one whose
+        `bn_eps` is not the model's is refused, naming the key."""
+        _, prep_out, checkpoint = trained
+        data = prep_out / "ds1.test.npz"
+        assert self._eval(checkpoint, data, tmp_path / "new") == 0
+        old, other = tmp_path / "old.ufnd", tmp_path / "other.ufnd"
+        save_checkpoint(with_retired_head_keys(load_checkpoint(checkpoint)),
+                        old)
+        assert self._eval(old, data, tmp_path / "old") == 0
+        assert (tmp_path / "old" / "out" / "metrics.txt").read_text() == \
+            (tmp_path / "new" / "out" / "metrics.txt").read_text()
+        save_checkpoint(with_retired_head_keys(load_checkpoint(checkpoint),
+                                               bn_eps=1e-3), other)
+        capsys.readouterr()
+        assert self._eval(other, data, tmp_path / "other") == 1
+        assert "checkpoint head bn_eps = 0.001" in capsys.readouterr().err
+        assert not (tmp_path / "other" / "out" / "metrics.txt").exists()
 
     def test_checkpoint_with_the_removed_biases_evaluates_as_a_new_one(
             self, trained, tmp_path, monkeypatch):

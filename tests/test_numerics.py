@@ -521,6 +521,19 @@ class TestRngStreams:
         np.testing.assert_array_equal(streams.stream("dropout").random(5),
                                       expected)
 
+    def test_state_holds_only_the_streams_in_use(self):
+        assert set(RngStreams(1).state()) == {"init", "dropout"}
+
+    def test_restore_skips_the_retired_shuffle_stream(self):
+        """States written while a never-drawn `shuffle` stream existed
+        restore; any other unknown name is still refused."""
+        saved = RngStreams(1).state()
+        streams = RngStreams(1)
+        streams.restore({**saved, "shuffle": saved["init"]})
+        assert streams.state() == saved
+        with pytest.raises(ArgumentError, match="bogus"):
+            streams.restore({**saved, "bogus": saved["init"]})
+
 
 class TestGradCheck:
     def _toy(self, seed=0):

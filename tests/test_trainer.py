@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import (legacy_checkpoint, small_batch, small_model,
-                      toy_model_config, with_removed_biases)
+                      toy_model_config, with_removed_biases,
+                      with_retired_head_keys)
 from ufnd import encoder, trainer
 from ufnd.autograd import Tensor, no_grad
 from ufnd.checkpoint import load_checkpoint, save_checkpoint
@@ -38,7 +39,6 @@ class TestTrainConfig:
         assert cfg.epochs == 50
         model = desk_config()
         assert model.encoder.dropout_rate == 0.1
-        assert model.head.dropout_rate == 0.1
 
     def test_validation(self):
         with pytest.raises(ArgumentError):
@@ -137,6 +137,29 @@ class TestTrainLoop:
         for p in model.encoder_params.parameters():
             np.testing.assert_array_equal(p.data, before[p.name])
         assert not np.array_equal(model.head_params.l1_w.data, head_before)
+
+    def test_frozen_step_back_propagates_the_head_alone(self, toy_split):
+        """A frozen encoder records no graph: after a frozen step no encoder
+        parameter holds a gradient, and the head's gradients are bitwise
+        those of a forward whose encoder records one."""
+        split_data, vocab = toy_split
+        ds, idx = split_data.train, np.arange(16)
+        frozen = Model(toy_model_config(len(vocab)), RngStreams(4))
+        cfg = small_train_cfg(seed=4, freeze_encoder=True, clip=1e9)
+        params = frozen.trainable_parameters(freeze_encoder=True)
+        adam = {p.name: AdamState.for_param(p, lr=cfg.lr) for p in params}
+        trainer._train_step(frozen, params, adam, cfg, ds, idx)
+        assert all(p.grad is None
+                   for p in frozen.encoder_params.parameters())
+
+        recorded = Model(toy_model_config(len(vocab)), RngStreams(4))
+        nll_loss(recorded.forward(ds.ids[idx], ds.mask[idx], "train"),
+                 ds.labels[idx]).backward()
+        assert all(p.grad is not None
+                   for p in recorded.encoder_params.parameters())
+        for p, q in zip(frozen.head_params.parameters(),
+                        recorded.head_params.parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name
 
     def test_checked_mode_runs_clean(self, toy_split):
         split_data, vocab = toy_split
@@ -328,10 +351,8 @@ class TestLegacyCheckpoint:
                      small_train_cfg(seed=self.SEED, epochs=4),
                      resume=load_checkpoint(path))
 
-    def test_rollback_checkpoint_evaluates_and_resumes_as_a_new_one(
-            self, saved, toy_split):
+    def _assert_evaluates_and_resumes_as(self, old, new, toy_split):
         split_data, vocab = toy_split
-        new, old = saved(), saved("rollback")
         np.testing.assert_array_equal(self._log_probs(old, split_data.test),
                                       self._log_probs(new, split_data.test))
         new_ckpt, new_report = self._resume(new, split_data, vocab)
@@ -344,6 +365,37 @@ class TestLegacyCheckpoint:
             np.testing.assert_array_equal(old_ckpt.tensors[name],
                                           new_ckpt.tensors[name],
                                           err_msg=name)
+
+    def test_rollback_checkpoint_evaluates_and_resumes_as_a_new_one(
+            self, saved, toy_split):
+        self._assert_evaluates_and_resumes_as(saved("rollback"), saved(),
+                                              toy_split)
+
+    def test_header_with_the_retired_head_keys_and_stream_resumes(
+            self, saved, toy_split, tmp_path):
+        """A header whose head config holds all seven old keys, and whose
+        rng state has a `shuffle` stream, evaluates and resumes as a new
+        one, whose resumed checkpoint it then writes."""
+        new, old = saved(), tmp_path / "old.ufnd"
+        save_checkpoint(with_retired_head_keys(load_checkpoint(new)), old)
+        header = load_checkpoint(old)
+        assert len(header.config["head"]) == 7
+        assert "shuffle" in header.meta["rng_state"]
+        self._assert_evaluates_and_resumes_as(old, new, toy_split)
+
+    @pytest.mark.parametrize("key, value", [
+        ("d_in", 32), ("n_classes", 3), ("dropout_rate", 0.2),
+        ("bn_momentum", 0.01), ("bn_eps", 1e-3)])
+    def test_retired_head_key_of_another_value_is_refused(
+            self, key, value, saved, toy_split, tmp_path):
+        split_data, vocab = toy_split
+        old = tmp_path / "old.ufnd"
+        save_checkpoint(with_retired_head_keys(load_checkpoint(saved()),
+                                               **{key: value}), old)
+        with pytest.raises(IncompatibilityError, match=f"head {key} = "):
+            model_from_checkpoint(load_checkpoint(old))
+        with pytest.raises(IncompatibilityError, match=f"head {key} = "):
+            self._resume(old, split_data, vocab)
 
     def test_checkpoint_with_the_removed_biases_resumes(self, saved,
                                                          toy_split,
@@ -405,7 +457,7 @@ class TestEstimateCost:
         enc = EncoderConfig(vocab_size=10, d_model=4, n_heads=2, d_ff=8,
                             max_seq_len=16, n_blocks_total=1,
                             block_subset=(1,))
-        head = HeadConfig(d_in=4, h1=3, h2=2)
+        head = HeadConfig(h1=3, h2=2)
         L, d, ff = 16, 4, 8
         # the only block is the last: K/V at L positions, Q/O, attention
         # and feed-forward at the pooled position alone
@@ -432,7 +484,7 @@ class TestEstimateCost:
         enc = EncoderConfig(vocab_size=10, d_model=4, n_heads=2, d_ff=8,
                             max_seq_len=16, n_blocks_total=2,
                             block_subset=(1, 2))
-        head = HeadConfig(d_in=4, h1=3, h2=2)
+        head = HeadConfig(h1=3, h2=2)
         d, ff, width, real, batch = 4, 8, 6, 9, 2
         # per-position work on the 6 + 3 real positions, attention over
         # the cut width 6

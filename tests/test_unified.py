@@ -68,10 +68,14 @@ class TestCheckAcceptable:
     def test_validation(self):
         with pytest.raises(ArgumentError):
             check_acceptable(0.9, 0.9, 0.0)
-        with pytest.raises(ArgumentError):
-            check_acceptable(0.0, 0.9, 0.1)
-        with pytest.raises(ArgumentError):
-            check_acceptable(0.9, 1.1, 0.1)
+        for accuracy, baseline in ((-0.1, 0.9), (1.1, 0.9), (0.9, 0.0),
+                                   (0.9, 1.1)):
+            with pytest.raises(ArgumentError):
+                check_acceptable(accuracy, baseline, 0.1)
+
+    def test_zero_accuracy_is_a_measurement(self):
+        assert not check_acceptable(0.0, 0.9, 0.1)
+        assert check_acceptable(0.0, 0.05, 0.1)
 
 
 class TestLoadBaselines:
