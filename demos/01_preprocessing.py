@@ -4,10 +4,11 @@ vocabulary building, and fixed-length encoding.
 Run: python3 demos/01_preprocessing.py
 """
 
-from ufnd.corpus import Document
+from ufnd.corpus import Corpus, Document
 from ufnd.synthetic import make_synthetic_corpus
-from ufnd.textprep import (PrepConfig, build_vocab, encode, normalize,
-                           remove_short_words, seq_length_stats)
+from ufnd.textprep import (PrepConfig, build_vocab, encode_corpus, normalize,
+                           remove_short_words, seq_length_stats,
+                           tokenize_corpus)
 
 
 def main():
@@ -20,8 +21,10 @@ def main():
     print("after removal: ", remove_short_words(tokens, cfg.min_word_len))
     print()
 
-    corpus = make_synthetic_corpus(200, "demo", seed=0)
-    stats = seq_length_stats(corpus, cfg)
+    # Each document is normalised and filtered once; every later stage
+    # reads these tokens and the config they were made under.
+    tokens = tokenize_corpus(make_synthetic_corpus(200, "demo", seed=0), cfg)
+    stats = seq_length_stats(tokens)
     print("sequence length over 200 synthetic documents:")
     for mode in ("without_removal", "with_removal"):
         s = stats[mode]
@@ -29,16 +32,17 @@ def main():
               f"p95={s['percentile_95']:.1f}")
     print()
 
-    vocab = build_vocab(corpus, cfg, max_size=50)
+    vocab = build_vocab(tokens, max_size=50)
     print(f"vocabulary: {len(vocab)} entries, most frequent:",
           vocab.id_to_token[3:11])
 
     doc = Document(text="shocking hoax exposed by the council", label=1,
                    source="demo")
-    sample = encode(doc, vocab, cfg)
-    print("encoded ids:   ", sample.ids.tolist())
-    print("attention mask:", sample.mask.astype(int).tolist())
-    print("true length:   ", sample.true_length,
+    encoded = encode_corpus(tokenize_corpus(Corpus((doc,), "demo"), cfg),
+                            vocab)
+    print("encoded ids:   ", encoded.ids[0].tolist())
+    print("attention mask:", encoded.mask[0].astype(int).tolist())
+    print("true length:   ", encoded.true_lengths[0],
           "(leading id 2 is the pooled classification position)")
 
 

@@ -10,10 +10,11 @@ Run: python3 demos/03_two_phase_training.py   (about half a minute)
 
 import dataclasses
 
-from ufnd.corpus import combine, split
+from ufnd.corpus import combine, split_indices
 from ufnd.model import tiny_config
 from ufnd.synthetic import make_synthetic_corpus
-from ufnd.textprep import PrepConfig, build_vocab, encode_corpus
+from ufnd.textprep import (PrepConfig, build_vocab, encode_corpus,
+                           tokenize_corpus)
 from ufnd.trainer import TrainConfig
 from ufnd.unified import (EncodedSplit, per_dataset_table, phase_one,
                           phase_two, render_aligned)
@@ -26,13 +27,13 @@ def main():
     corpora = [make_synthetic_corpus(200, f"set{i}", seed=100 + i)
                for i in range(3)]
     combined_corpus = combine(corpora)
-    vocab = build_vocab(combined_corpus, prep, 100)
+    vocab = build_vocab(tokenize_corpus(combined_corpus, prep), 100)
 
     def enc_split(corpus):
-        sc = split(corpus, 0.8, SEED)
-        return EncodedSplit(corpus.name,
-                            encode_corpus(sc.train, vocab, prep),
-                            encode_corpus(sc.test, vocab, prep))
+        ds = encode_corpus(tokenize_corpus(corpus, prep), vocab)
+        train_rows, test_rows = split_indices(len(ds), 0.8, SEED)
+        return EncodedSplit(corpus.name, ds.take(train_rows),
+                            ds.take(test_rows))
 
     datasets = [enc_split(c) for c in corpora]
     model_cfg = tiny_config(vocab_size=len(vocab), max_seq_len=12)

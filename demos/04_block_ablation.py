@@ -4,11 +4,12 @@ and compare metrics, parameter counts, and estimated training cost.
 Run: python3 demos/04_block_ablation.py   (about half a minute)
 """
 
-from ufnd.corpus import split
+from ufnd.corpus import split_indices
 from ufnd.encoder import param_count, select_blocks
 from ufnd.model import desk_config, tiny_config
 from ufnd.synthetic import make_synthetic_corpus
-from ufnd.textprep import PrepConfig, build_vocab, encode_corpus
+from ufnd.textprep import (PrepConfig, build_vocab, encode_corpus,
+                           tokenize_corpus)
 from ufnd.trainer import TrainConfig, estimate_cost
 from ufnd.unified import (AblationGrid, EncodedSplit, ablate, ablation_table,
                           render_aligned)
@@ -29,11 +30,12 @@ def main():
     # the trained comparison runs on a two-block model to stay fast
     prep = PrepConfig(min_word_len=3, max_seq_len=12)
     corpus = make_synthetic_corpus(300, "ablation", seed=5)
-    vocab = build_vocab(corpus, prep, 100)
-    sc = split(corpus, 0.8, 5)
-    combined = EncodedSplit("ablation",
-                            encode_corpus(sc.train, vocab, prep),
-                            encode_corpus(sc.test, vocab, prep))
+    tokens = tokenize_corpus(corpus, prep)
+    vocab = build_vocab(tokens, 100)
+    ds = encode_corpus(tokens, vocab)
+    train_rows, test_rows = split_indices(len(ds), 0.8, 5)
+    combined = EncodedSplit("ablation", ds.take(train_rows),
+                            ds.take(test_rows))
     model_cfg = tiny_config(vocab_size=len(vocab), max_seq_len=12)
     train_cfg = TrainConfig(seed=5, epochs=5, batch_size=16)
     grid = AblationGrid(block_subsets=((1, 2), (1,), (2,)),

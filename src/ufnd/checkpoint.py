@@ -29,14 +29,6 @@ class Checkpoint:
     tensors: dict[str, np.ndarray]
     meta: dict = field(default_factory=dict)
 
-    @property
-    def best_val_accuracy(self) -> float:
-        return self.meta.get("best_val_accuracy", float("nan"))
-
-    @property
-    def epoch(self) -> int:
-        return self.meta.get("epoch", 0)
-
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     names = sorted(ckpt.tensors)

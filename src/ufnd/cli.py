@@ -127,7 +127,7 @@ def parse_config_file(path) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ArgumentError(f"{path}:{line_no}: expected key=value")
+                raise SchemaError(f"{path}:{line_no}: expected key=value")
             key, value = line.split("=", 1)
             key = key.strip()
             if key not in KEYS and not PATH_KEYS.fullmatch(key):
@@ -404,7 +404,7 @@ def cmd_prep(args) -> int:
         reports.append(report)
         i += 1
     if not corpora:
-        raise ArgumentError("no data1.path entry in the configuration")
+        raise SchemaError("config key data1.path is required")
 
     # Each dataset is a contiguous slice of the combined corpus, so every
     # split is a set of its rows.
@@ -419,8 +419,7 @@ def cmd_prep(args) -> int:
         seed)
 
     tokens = tokenize_corpus(combined, prep)
-    vocab = build_vocab(tokens, prep,
-                        **_given(settings, "vocab.", build_vocab))
+    vocab = build_vocab(tokens, **_given(settings, "vocab.", build_vocab))
     save_vocab(vocab, manifest.artifact("vocab.txt"))
 
     with open(manifest.artifact("load_report.txt"), "w",
@@ -428,7 +427,7 @@ def cmd_prep(args) -> int:
         for report in reports:
             fh.write(report.render() + "\n")
 
-    stats = seq_length_stats(tokens, prep)
+    stats = seq_length_stats(tokens)
     with open(manifest.artifact("length_stats.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(f"# short-word rule: drop tokens shorter than "
@@ -438,7 +437,7 @@ def cmd_prep(args) -> int:
             fh.write(f"{mode}\tmean={s['mean']:.2f}\tmax={s['max']}\t"
                      f"p95={s['percentile_95']:.1f}\n")
 
-    encoded = encode_corpus(tokens, vocab, prep)
+    encoded = encode_corpus(tokens, vocab)
     for name, parts in splits.items():
         for part, rows in zip(("train", "test"), parts):
             save_encoded(encoded.take(rows),
@@ -474,7 +473,7 @@ def cmd_unify(args) -> int:
         datasets.append(ds)
         i += 1
     if not datasets:
-        raise ArgumentError("no dataset1.train entry in the configuration")
+        raise SchemaError("config key dataset1.train is required")
     baselines_path = _required(config, "baselines")
     manifest.add_input(baselines_path, "config key baselines")
     baselines = load_baselines(baselines_path)

@@ -1,10 +1,13 @@
-"""Dataset ingestion, label encoding, deterministic splits, and corpus
-combination.
+"""Dataset ingestion, label encoding, deterministic split indices, and
+corpus combination.
 
 The three public fake-news datasets have heterogeneous schemas, so
 loading is driven by a per-dataset column map: which columns hold text
 (concatenated with single spaces, in order), which holds the label, and
 how label strings map onto {0 = real, 1 = fake}.
+
+A split is a pair of row-index arrays (`split_indices`), taken from the
+encoded dataset with `EncodedDataset.take`; a corpus itself is never cut.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DataError, DegenerateSplitError, EmptyCorpusError,
-                     ArgumentError, SchemaError)
+from .errors import ArgumentError, DataError, EmptyCorpusError, SchemaError
 
 @dataclass(frozen=True)
 class Document:
@@ -42,14 +44,6 @@ class Corpus:
 
     def __getitem__(self, i):
         return self.docs[i]
-
-
-@dataclass(frozen=True)
-class SplitCorpus:
-    train: Corpus
-    test: Corpus
-    ratio: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -125,20 +119,6 @@ def split_indices(n: int, ratio: float, seed: int
     perm = rng.permutation(n)
     n_train = math.floor(ratio * n)
     return perm[:n_train], perm[n_train:]
-
-
-def split(corpus: Corpus, ratio: float, seed: int) -> SplitCorpus:
-    """`split_indices` applied to a corpus of at least two documents."""
-    n = len(corpus)
-    train_idx, test_idx = split_indices(n, ratio, seed)
-    if n < 2:
-        raise DegenerateSplitError(f"cannot split a corpus of {n} documents")
-    return SplitCorpus(
-        train=Corpus(tuple(corpus.docs[i] for i in train_idx),
-                     name=corpus.name + ":train"),
-        test=Corpus(tuple(corpus.docs[i] for i in test_idx),
-                    name=corpus.name + ":test"),
-        ratio=ratio, seed=seed)
 
 
 def combine(corpora: list[Corpus]) -> Corpus:

@@ -21,10 +21,6 @@ class ArgumentError(UfndError, ValueError):
     """An argument violates an operation's precondition."""
 
 
-class DegenerateSplitError(ArgumentError):
-    """A corpus is too small to split."""
-
-
 class ShapeError(ArgumentError):
     """Tensor shapes are incompatible for the requested operation."""
 

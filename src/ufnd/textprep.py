@@ -5,6 +5,12 @@ The short-word rule drops every token with fewer than `min_word_len`
 characters (default 3); it is what shrinks sequence length and training
 cost.  Setting `min_word_len` to 1 disables removal, which is how the
 "without preprocessing" comparison mode is expressed.
+
+There is one path, the one `ufnd prep` runs: `tokenize_corpus` normalises
+and filters each document once under a `PrepConfig`; `build_vocab`,
+`encode_corpus` and `seq_length_stats` read that `TokenizedCorpus` and
+the config it holds; and a split is rows of the encoded dataset,
+`EncodedDataset.take(split_indices(...))`.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Document
+from .corpus import Corpus
 from .errors import ArgumentError
 
 PAD_ID = 0
@@ -48,21 +54,12 @@ class Vocabulary:
     max_size: int
     min_freq: int
     config_hash: str
-    specials_only: bool = False
 
     def __len__(self):
         return len(self.id_to_token)
 
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
-
-
-@dataclass(frozen=True)
-class EncodedSample:
-    ids: np.ndarray
-    mask: np.ndarray
-    label: int
-    true_length: int
 
 
 @dataclass(frozen=True)
@@ -121,10 +118,6 @@ def remove_short_words(tokens: list[str], min_word_len: int) -> list[str]:
     return [t for t in tokens if len(t) >= min_word_len]
 
 
-def tokenize(text: str, cfg: PrepConfig) -> list[str]:
-    return remove_short_words(normalize(text, cfg), cfg.min_word_len)
-
-
 @dataclass(frozen=True)
 class TokenizedCorpus:
     """A corpus normalised and filtered once.  Words are kept once each, in
@@ -150,8 +143,10 @@ class _WordIndex(dict):
 
 
 def tokenize_corpus(corpus: Corpus, cfg: PrepConfig) -> TokenizedCorpus:
-    """Normalise and filter each document once, keeping word indices, not
-    token strings."""
+    """Normalise and filter each document of a nonempty corpus once,
+    keeping word indices, not token strings."""
+    if len(corpus) == 0:
+        raise ArgumentError("tokenize_corpus requires a nonempty corpus")
     index = _WordIndex()
     ids, lengths, raw_lengths = [], [], []
     for doc in corpus:
@@ -167,23 +162,9 @@ def tokenize_corpus(corpus: Corpus, cfg: PrepConfig) -> TokenizedCorpus:
         labels=np.array([doc.label for doc in corpus], dtype=np.int64))
 
 
-def _tokenized(corpus: Corpus | TokenizedCorpus, cfg: PrepConfig,
-               caller: str) -> TokenizedCorpus:
-    """`corpus` tokenised under `cfg`; it must hold at least one document."""
-    if len(corpus) == 0:
-        raise ArgumentError(f"{caller} requires a nonempty corpus")
-    if not isinstance(corpus, TokenizedCorpus):
-        return tokenize_corpus(corpus, cfg)
-    if corpus.cfg != cfg:
-        raise ArgumentError(f"{caller}: corpus was tokenised under "
-                            f"{corpus.cfg}, not {cfg}")
-    return corpus
-
-
-def build_vocab(corpus: Corpus | TokenizedCorpus, cfg: PrepConfig,
-                max_size: int, min_freq: int = 1) -> Vocabulary:
+def build_vocab(tokens: TokenizedCorpus, max_size: int,
+                min_freq: int = 1) -> Vocabulary:
     """Frequency-ranked vocabulary; ties broken lexicographically."""
-    tokens = _tokenized(corpus, cfg, "build_vocab")
     counts = np.bincount(tokens.ids, minlength=len(tokens.words)).tolist()
     ranked = sorted(zip((-c for c in counts), tokens.words))
     kept = [tok for neg_freq, tok in ranked[:max_size]
@@ -192,8 +173,7 @@ def build_vocab(corpus: Corpus | TokenizedCorpus, cfg: PrepConfig,
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
     return Vocabulary(token_to_id=token_to_id, id_to_token=id_to_token,
                       max_size=max_size, min_freq=min_freq,
-                      config_hash=_vocab_hash(cfg, max_size, min_freq),
-                      specials_only=not kept)
+                      config_hash=_vocab_hash(tokens.cfg, max_size, min_freq))
 
 
 def _vocab_hash(cfg: PrepConfig, max_size: int, min_freq: int) -> str:
@@ -223,23 +203,14 @@ def load_vocab(path) -> Vocabulary:
         id_to_token=id_to_token,
         max_size=int(fields.get("max_size", len(tokens))),
         min_freq=int(fields.get("min_freq", 1)),
-        config_hash=fields.get("config", ""),
-        specials_only=not tokens)
+        config_hash=fields.get("config", ""))
 
 
-def encode(doc: Document, vocab: Vocabulary, cfg: PrepConfig) -> EncodedSample:
-    """[CLS] + token ids, truncated to max_seq_len, right-padded."""
-    ds = encode_corpus(Corpus(docs=(doc,), name=doc.source), vocab, cfg)
-    return EncodedSample(ids=ds.ids[0], mask=ds.mask[0], label=doc.label,
-                         true_length=int(ds.true_lengths[0]))
-
-
-def encode_corpus(corpus: Corpus | TokenizedCorpus, vocab: Vocabulary,
-                  cfg: PrepConfig) -> EncodedDataset:
+def encode_corpus(tokens: TokenizedCorpus,
+                  vocab: Vocabulary) -> EncodedDataset:
     """Every document as [CLS] + token ids, truncated to max_seq_len and
     right-padded, one row each."""
-    tokens = _tokenized(corpus, cfg, "encode_corpus")
-    width = cfg.max_seq_len
+    width = tokens.cfg.max_seq_len
     # Each token's position in its document; the first width - 1 are kept.
     starts = np.cumsum(tokens.lengths) - tokens.lengths
     position = np.arange(len(tokens.ids)) - np.repeat(starts, tokens.lengths)
@@ -258,10 +229,8 @@ def encode_corpus(corpus: Corpus | TokenizedCorpus, vocab: Vocabulary,
         vocab_hash=vocab.config_hash, max_seq_len=width)
 
 
-def seq_length_stats(corpus: Corpus | TokenizedCorpus,
-                     cfg: PrepConfig) -> dict:
+def seq_length_stats(tokens: TokenizedCorpus) -> dict:
     """Pre-truncation token-count statistics with and without removal."""
-    tokens = _tokenized(corpus, cfg, "seq_length_stats")
 
     def summarize(counts):
         arr = counts.astype(np.float64)

@@ -15,7 +15,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -230,11 +230,15 @@ def best_arrays(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     return state
 
 
-def head_config(head: dict, encoder: EncoderConfig) -> HeadConfig:
-    """The `HeadConfig` of a checkpoint header's `head` dict.  Headers
+def model_config(ckpt: Checkpoint) -> tuple[ModelConfig, np.dtype]:
+    """The model config and dtype a checkpoint header records.  Headers
     written before the head config held only its widths carry five more
-    keys; each is dropped if it holds the value the model now uses, and
-    is otherwise an `IncompatibilityError`."""
+    head keys; each is dropped if it holds the value the model now uses,
+    and is otherwise an `IncompatibilityError`."""
+    enc_cfg = dict(ckpt.config["encoder"])
+    enc_cfg["block_subset"] = tuple(enc_cfg["block_subset"])
+    encoder = EncoderConfig(**enc_cfg)
+    head = ckpt.config["head"]
     now = {"d_in": encoder.d_model, "dropout_rate": encoder.dropout_rate,
            "n_classes": N_CLASSES, "bn_momentum": BN_MOMENTUM,
            "bn_eps": BN_EPS}
@@ -242,20 +246,17 @@ def head_config(head: dict, encoder: EncoderConfig) -> HeadConfig:
         if head.get(key, value) != value:
             raise IncompatibilityError(f"checkpoint head {key} = {head[key]!r}"
                                        f" but the model uses {value!r}")
-    return HeadConfig(**{k: v for k, v in head.items() if k not in now})
+    config = ModelConfig(encoder=encoder, head=HeadConfig(
+        **{k: v for k, v in head.items() if k not in now}))
+    return config, np.dtype(ckpt.config.get("dtype", "<f4"))
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, TrainConfig]:
     """The model whose parameters are the checkpoint's `best/` arrays
     themselves (not copies), and its training config."""
-    enc_cfg = dict(ckpt.config["encoder"])
-    enc_cfg["block_subset"] = tuple(enc_cfg["block_subset"])
-    encoder = EncoderConfig(**enc_cfg)
-    config = ModelConfig(encoder=encoder,
-                         head=head_config(ckpt.config["head"], encoder))
+    config, dtype = model_config(ckpt)
     cfg = TrainConfig(**{k: v for k, v in ckpt.config["train"].items()
                          if k not in RETIRED_TRAIN_FIELDS})
-    dtype = np.dtype(ckpt.config.get("dtype", "<f4"))
     model = Model(config, RngStreams(cfg.seed), dtype=dtype.type,
                   arrays=best_arrays(ckpt))
     model.rng.restore(ckpt.meta["rng_state"])
@@ -290,7 +291,8 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
     """Train, validating each epoch, and return the best-validation
     checkpoint plus a per-epoch report.  The checkpoint records
     `train_ds.vocab_hash`, which `ufnd eval` checks its data against.
-    `resume` continues from the checkpoint's `best/` weights."""
+    `resume`, a checkpoint of this model, continues from its `best/`
+    weights."""
     if len(train_ds) == 0:
         raise ArgumentError("train requires a nonempty training set")
     if len(val_ds) == 0:
@@ -305,8 +307,18 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
         if mode != "rollback":  # its last weights are not its best/
             raise IncompatibilityError(f"cannot resume a checkpoint trained "
                                        f"with best_mode={mode!r}")
-        # An older header's head keys must hold the values the model uses.
-        head_config(resume.config["head"], model.config.encoder)
+        # The checkpoint must be of this model: each config field and the
+        # dtype must agree.
+        def flat(config, dtype):
+            return {**asdict(config.encoder), **asdict(config.head),
+                    "dtype": np.dtype(dtype)}
+        theirs = flat(*model_config(resume))
+        ours = flat(model.config, model.dtype)
+        for key, value in theirs.items():
+            if value != ours[key]:
+                raise IncompatibilityError(
+                    f"cannot resume: checkpoint {key} = {value} but the "
+                    f"model has {ours[key]}")
         best_state = best_arrays(resume)  # read, never written
         model.load_state_arrays(best_state)
         model.rng.restore(resume.meta["rng_state"])

@@ -5,12 +5,13 @@ import pytest
 
 from ufnd.checkpoint import Checkpoint
 from ufnd.classifier import HeadConfig
-from ufnd.corpus import split
+from ufnd.corpus import split_indices
 from ufnd.encoder import EncoderConfig
 from ufnd.model import Model, ModelConfig, tiny_config
 from ufnd.numerics import RngStreams
 from ufnd.synthetic import make_synthetic_corpus
-from ufnd.textprep import PrepConfig, build_vocab, encode_corpus
+from ufnd.textprep import (PrepConfig, build_vocab, encode_corpus,
+                           tokenize_corpus)
 from ufnd.unified import EncodedSplit
 
 TOY_SEQ_LEN = 12
@@ -46,12 +47,12 @@ def toy_split():
     """An encoded synthetic dataset with train/test partition."""
     corpus = make_synthetic_corpus(120, "toy", seed=11)
     prep = PrepConfig(min_word_len=3, max_seq_len=TOY_SEQ_LEN)
-    vocab = build_vocab(corpus, prep, 100)
-    sc = split(corpus, 0.8, 5)
-    return EncodedSplit(
-        name="toy",
-        train=encode_corpus(sc.train, vocab, prep),
-        test=encode_corpus(sc.test, vocab, prep)), vocab
+    tokens = tokenize_corpus(corpus, prep)
+    vocab = build_vocab(tokens, 100)
+    ds = encode_corpus(tokens, vocab)
+    train_rows, test_rows = split_indices(len(ds), 0.8, 5)
+    return EncodedSplit(name="toy", train=ds.take(train_rows),
+                        test=ds.take(test_rows)), vocab
 
 
 def toy_model_config(vocab_size, dropout_rate=0.1):

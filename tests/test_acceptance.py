@@ -12,7 +12,7 @@ from conftest import small_batch, small_model
 from ufnd.autograd import Parameter, Tensor
 from ufnd.checkpoint import load_checkpoint, save_checkpoint
 from ufnd.cli import main
-from ufnd.corpus import combine, split
+from ufnd.corpus import combine, split_indices
 from ufnd.encoder import EncoderConfig, init_encoder_params, param_count
 from ufnd.errors import IntegrityError
 from ufnd.metrics import Confusion, compute_metrics, confusion
@@ -22,7 +22,8 @@ from ufnd.numerics import (AdamState, RngStreams, adam_step, clip_global_norm,
                            masked_softmax, nll_loss)
 from ufnd.synthetic import make_synthetic_corpus, write_synthetic_csv
 from ufnd.textprep import (PrepConfig, build_vocab, encode_corpus,
-                           remove_short_words, seq_length_stats)
+                           remove_short_words, seq_length_stats,
+                           tokenize_corpus)
 from ufnd.trainer import TrainConfig, estimate_cost, train
 from ufnd.unified import EncodedSplit, phase_one, phase_two
 
@@ -145,7 +146,7 @@ class TestCriterion4PreprocessingRule:
 
         corpus = make_synthetic_corpus(200, "stats", seed=4)
         cfg = PrepConfig(min_word_len=3)
-        stats = seq_length_stats(corpus, cfg)
+        stats = seq_length_stats(tokenize_corpus(corpus, cfg))
         stats_ok = True
         for doc, w, wo in zip(corpus, stats["per_doc_with"],
                               stats["per_doc_without"]):
@@ -175,13 +176,13 @@ class TestCriterion6Learnability:
         corpora = [make_synthetic_corpus(200, f"toy{i}", seed=100 + i)
                    for i in range(3)]
         comb = combine(corpora)
-        vocab = build_vocab(comb, prep, 100)
+        vocab = build_vocab(tokenize_corpus(comb, prep), 100)
 
         def enc_split(corpus, seed):
-            sc = split(corpus, 0.8, seed)
-            return EncodedSplit(corpus.name,
-                                encode_corpus(sc.train, vocab, prep),
-                                encode_corpus(sc.test, vocab, prep))
+            ds = encode_corpus(tokenize_corpus(corpus, prep), vocab)
+            train_rows, test_rows = split_indices(len(ds), 0.8, seed)
+            return EncodedSplit(corpus.name, ds.take(train_rows),
+                                ds.take(test_rows))
 
         datasets = [enc_split(c, 7) for c in corpora]
         mc = tiny_config(vocab_size=len(vocab), max_seq_len=12)
@@ -331,10 +332,11 @@ class TestCriterion9DeterminismPersistence:
     def _setup(self):
         corpus = make_synthetic_corpus(120, "det", seed=9)
         prep = PrepConfig(min_word_len=3, max_seq_len=12)
-        vocab = build_vocab(corpus, prep, 100)
-        sc = split(corpus, 0.8, 9)
-        return (encode_corpus(sc.train, vocab, prep),
-                encode_corpus(sc.test, vocab, prep),
+        tokens = tokenize_corpus(corpus, prep)
+        vocab = build_vocab(tokens, 100)
+        ds = encode_corpus(tokens, vocab)
+        train_rows, test_rows = split_indices(len(ds), 0.8, 9)
+        return (ds.take(train_rows), ds.take(test_rows),
                 tiny_config(vocab_size=len(vocab), max_seq_len=12))
 
     def test_determinism_resume_and_corruption(self, tmp_path):

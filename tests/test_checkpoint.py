@@ -57,8 +57,8 @@ class TestRoundTrip:
         path = tmp_path / "c.ufnd"
         save_checkpoint(sample_checkpoint(), path)
         loaded = load_checkpoint(path)
-        assert loaded.epoch == 7
-        assert loaded.best_val_accuracy == 0.91
+        assert loaded.meta["epoch"] == 7
+        assert loaded.meta["best_val_accuracy"] == 0.91
 
     def test_empty_tensor_dict(self, tmp_path):
         path = tmp_path / "c.ufnd"

@@ -21,9 +21,9 @@ from ufnd.checkpoint import load_checkpoint, save_checkpoint
 from ufnd.classifier import HeadConfig
 from ufnd.cli import (KEYS, load_encoded, main, parse_config_file,
                       resolve_config, save_encoded, sha256_file)
-from ufnd.corpus import ColumnMap, combine, load_dataset, split
+from ufnd.corpus import ColumnMap, combine, load_dataset, split_indices
 from ufnd.encoder import EncoderConfig
-from ufnd.errors import ArgumentError, DataError, NonFiniteError, SchemaError
+from ufnd.errors import DataError, NonFiniteError, SchemaError
 from ufnd.model import desk_config
 from ufnd.synthetic import make_synthetic_corpus, write_synthetic_csv
 from ufnd.textprep import (CLS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID,
@@ -86,11 +86,15 @@ class TestConfigPlumbing:
         assert config == {"train.epochs": "3",
                           "data1.name": "value with = sign"}
 
-    def test_parse_bad_line(self, tmp_path):
+    def test_parse_bad_line(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
         p.write_text("not a pair\n")
-        with pytest.raises(ArgumentError, match="c.cfg:1"):
+        with pytest.raises(SchemaError, match="c.cfg:1: expected key=value"):
             parse_config_file(p)
+        out = tmp_path / "out"
+        assert main(["prep", "--config", str(p), "--out", str(out)]) == 2
+        assert f"{p}:1: expected key=value" in capsys.readouterr().err
+        assert not out.exists()
 
     # `train.best_mode` is retired: rollback is the only behaviour.
     @pytest.mark.parametrize("key", ["trian.lr", "train.learning_rate",
@@ -351,7 +355,7 @@ class TestRequiredKeys:
 
     @pytest.mark.parametrize("command, key", [
         ("train", "data.train"), ("train", "data.test"),
-        ("unify", "baselines"),
+        ("unify", "dataset1.train"), ("unify", "baselines"),
         ("unify", "combined.train"), ("unify", "combined.test"),
         ("ablate", "combined.train"), ("ablate", "combined.test")])
     def test_missing_key_exits_2(self, command, key, prepped, tmp_path,
@@ -715,8 +719,9 @@ class TestPrepCommand:
         assert (out / "length_stats.txt").read_text() == \
             _old_length_stats(corpora["combined"], prep)
         for name, corpus in corpora.items():
-            sc = split(corpus, ratio, seed)
-            for part, docs in (("train", sc.train), ("test", sc.test)):
+            for part, rows in zip(("train", "test"),
+                                  split_indices(len(corpus), ratio, seed)):
+                docs = [corpus[i] for i in rows]
                 want = _old_encode(docs, token_to_id, prep)
                 with np.load(out / f"{name}.{part}.npz") as got:
                     for key, array in want.items():
@@ -779,12 +784,13 @@ class TestPrepCommand:
         assert "config key data1.name" in err and repr(name) in err
         assert not out.exists() or not list(out.rglob("*"))
 
-    def test_missing_data_key_fails(self, tmp_path):
+    def test_missing_data_key_fails(self, tmp_path, capsys):
         config = tmp_path / "c.cfg"
         config.write_text("train.seed = 1\n")
         out = tmp_path / "out"
         assert main(["prep", "--config", str(config),
-                     "--out", str(out)]) == 1
+                     "--out", str(out)]) == 2
+        assert "config key data1.path is required" in capsys.readouterr().err
 
 
 # Mixed case and punctuation runs, documents past max_seq_len, documents

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufnd.corpus import (ColumnMap, Corpus, Document, combine, load_dataset,
-                         split)
-from ufnd.errors import (ArgumentError, DataError, DegenerateSplitError,
-                         EmptyCorpusError, SchemaError)
+                         split_indices)
+from ufnd.errors import (ArgumentError, DataError, EmptyCorpusError,
+                         SchemaError)
 
 MAP = ColumnMap(text_columns=("title", "text"), label_column="label",
                 label_mapping={"REAL": 0, "FAKE": 1})
@@ -92,40 +92,33 @@ class TestDocument:
 
 class TestSplit:
     def test_sizes_floor(self):
-        sc = split(make_corpus([0, 1] * 5), 0.8, seed=1)
-        assert len(sc.train) == 8 and len(sc.test) == 2
+        train, test = split_indices(10, 0.8, seed=1)
+        assert len(train) == 8 and len(test) == 2
 
     def test_partition_no_overlap_no_loss(self):
-        corpus = make_corpus([i % 2 for i in range(37)])
-        sc = split(corpus, 0.8, seed=9)
-        texts = sorted(d.text for d in sc.train) + \
-            sorted(d.text for d in sc.test)
-        assert sorted(texts) == sorted(d.text for d in corpus)
-        assert len(set(texts)) == 37
+        train, test = split_indices(37, 0.8, seed=9)
+        assert sorted(np.concatenate([train, test]).tolist()) == \
+            list(range(37))
 
     def test_deterministic_in_seed(self):
-        corpus = make_corpus([0, 1] * 10)
-        a = split(corpus, 0.8, seed=4)
-        b = split(corpus, 0.8, seed=4)
-        assert [d.text for d in a.train] == [d.text for d in b.train]
-        c = split(corpus, 0.8, seed=5)
-        assert [d.text for d in a.train] != [d.text for d in c.train]
-
-    def test_too_small(self):
-        with pytest.raises(DegenerateSplitError):
-            split(make_corpus([0]), 0.8, seed=0)
+        a = split_indices(20, 0.8, seed=4)
+        b = split_indices(20, 0.8, seed=4)
+        c = split_indices(20, 0.8, seed=5)
+        for part_a, part_b in zip(a, b):
+            np.testing.assert_array_equal(part_a, part_b)
+        assert a[0].tolist() != c[0].tolist()
 
     def test_bad_ratio(self):
         with pytest.raises(ArgumentError):
-            split(make_corpus([0, 1]), 1.0, seed=0)
+            split_indices(2, 1.0, seed=0)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 200), ratio=st.floats(0.05, 0.95),
            seed=st.integers(0, 2 ** 31))
     def test_split_sizes_property(self, n, ratio, seed):
-        sc = split(make_corpus([i % 2 for i in range(n)], "p"), ratio, seed)
-        assert len(sc.train) == math.floor(ratio * n)
-        assert len(sc.train) + len(sc.test) == n
+        train, test = split_indices(n, ratio, seed)
+        assert len(train) == math.floor(ratio * n)
+        assert len(train) + len(test) == n
 
 
 class TestCombine:

@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 from ufnd.corpus import Corpus, Document
 from ufnd.errors import ArgumentError
 from ufnd.textprep import (CLS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, PrepConfig,
-                           build_vocab, encode, encode_corpus, load_vocab,
-                           normalize, remove_short_words, save_vocab,
-                           seq_length_stats, tokenize, tokenize_corpus)
+                           build_vocab, encode_corpus, load_vocab, normalize,
+                           remove_short_words, save_vocab, seq_length_stats,
+                           tokenize_corpus)
 
 
 def corpus_of(texts, name="t"):
     docs = tuple(Document(text=t, label=i % 2, source=name)
                  for i, t in enumerate(texts))
     return Corpus(docs=docs, name=name)
+
+
+def tokens_of(texts, cfg=PrepConfig()):
+    return tokenize_corpus(corpus_of(texts), cfg)
 
 
 class TestNormalize:
@@ -89,44 +93,36 @@ class TestRemoveShortWords:
 
 class TestBuildVocab:
     def test_frequency_rank_and_ties(self):
-        corpus = corpus_of(["bbb bbb aaa ccc ccc"])
-        vocab = build_vocab(corpus, PrepConfig(), max_size=10)
+        vocab = build_vocab(tokens_of(["bbb bbb aaa ccc ccc"]), max_size=10)
         # specials first, then by (-freq, token): bbb/ccc tie at 2 -> bbb
         assert vocab.id_to_token == list(SPECIAL_TOKENS) + \
             ["bbb", "ccc", "aaa"]
 
     def test_max_size_cap(self):
-        corpus = corpus_of(["aaa bbb ccc ddd eee"])
-        vocab = build_vocab(corpus, PrepConfig(), max_size=2)
+        vocab = build_vocab(tokens_of(["aaa bbb ccc ddd eee"]), max_size=2)
         assert len(vocab) == len(SPECIAL_TOKENS) + 2
 
     def test_min_freq_filter(self):
-        corpus = corpus_of(["aaa aaa bbb"])
-        vocab = build_vocab(corpus, PrepConfig(), max_size=10, min_freq=2)
+        vocab = build_vocab(tokens_of(["aaa aaa bbb"]), max_size=10,
+                            min_freq=2)
         assert "bbb" not in vocab.token_to_id
         assert "aaa" in vocab.token_to_id
 
     def test_short_words_never_enter(self):
-        corpus = corpus_of(["it is of aa the hoax"])
-        vocab = build_vocab(corpus, PrepConfig(min_word_len=3), max_size=10)
+        vocab = build_vocab(tokens_of(["it is of aa the hoax"],
+                                      PrepConfig(min_word_len=3)),
+                            max_size=10)
         assert set(vocab.id_to_token[len(SPECIAL_TOKENS):]) == {"the", "hoax"}
 
-    def test_specials_only_flag(self):
-        corpus = corpus_of(["a an it"])
-        vocab = build_vocab(corpus, PrepConfig(), max_size=10)
-        assert vocab.specials_only
-        assert len(vocab) == len(SPECIAL_TOKENS)
-
     def test_lookup_unknown(self):
-        corpus = corpus_of(["hoax"])
-        vocab = build_vocab(corpus, PrepConfig(), max_size=10)
+        vocab = build_vocab(tokens_of(["hoax"]), max_size=10)
         assert vocab.lookup("nonesuch") == UNK_ID
 
 
 class TestVocabIO:
     def test_roundtrip(self, tmp_path):
-        corpus = corpus_of(["hoax media shocking media"])
-        vocab = build_vocab(corpus, PrepConfig(), max_size=10, min_freq=1)
+        vocab = build_vocab(tokens_of(["hoax media shocking media"]),
+                            max_size=10, min_freq=1)
         path = tmp_path / "vocab.txt"
         save_vocab(vocab, path)
         loaded = load_vocab(path)
@@ -137,8 +133,7 @@ class TestVocabIO:
         assert loaded.config_hash == vocab.config_hash
 
     def test_line_numbering_contract(self, tmp_path):
-        corpus = corpus_of(["zzz yyy yyy"])
-        vocab = build_vocab(corpus, PrepConfig(), max_size=10)
+        vocab = build_vocab(tokens_of(["zzz yyy yyy"]), max_size=10)
         path = tmp_path / "vocab.txt"
         save_vocab(vocab, path)
         lines = path.read_text().splitlines()
@@ -152,42 +147,35 @@ class TestEncode:
     CFG = PrepConfig(min_word_len=3, max_seq_len=6)
 
     def _vocab(self):
-        return build_vocab(corpus_of(["hoax media viral story claim"]),
-                           self.CFG, max_size=10)
+        return build_vocab(tokens_of(["hoax media viral story claim"],
+                                     self.CFG), max_size=10)
+
+    def _encode(self, *texts):
+        return encode_corpus(tokens_of(texts, self.CFG), self._vocab())
 
     def test_cls_first_then_pad(self):
-        vocab = self._vocab()
-        doc = Document(text="hoax media", label=1, source="s")
-        s = encode(doc, vocab, self.CFG)
-        assert s.ids[0] == CLS_ID
-        assert s.true_length == 3
-        np.testing.assert_array_equal(s.ids[3:], PAD_ID)
-        np.testing.assert_array_equal(s.mask, [1, 1, 1, 0, 0, 0])
+        ds = self._encode("hoax media")
+        assert ds.ids[0, 0] == CLS_ID
+        assert ds.true_lengths[0] == 3
+        np.testing.assert_array_equal(ds.ids[0, 3:], PAD_ID)
+        np.testing.assert_array_equal(ds.mask[0], [1, 1, 1, 0, 0, 0])
 
     def test_truncation(self):
-        vocab = self._vocab()
-        doc = Document(text="hoax media viral story claim hoax media",
-                       label=0, source="s")
-        s = encode(doc, vocab, self.CFG)
-        assert s.true_length == 6
-        assert np.all(s.mask == 1.0)
+        ds = self._encode("hoax media viral story claim hoax media")
+        assert ds.true_lengths[0] == 6
+        assert np.all(ds.mask[0] == 1.0)
 
     def test_unknown_token_maps_to_unk(self):
-        vocab = self._vocab()
-        doc = Document(text="zebra", label=0, source="s")
-        s = encode(doc, vocab, self.CFG)
-        assert s.ids[1] == UNK_ID
+        assert self._encode("zebra").ids[0, 1] == UNK_ID
 
     def test_all_short_doc_is_cls_only(self):
-        vocab = self._vocab()
-        doc = Document(text="it is a by of", label=0, source="s")
-        s = encode(doc, vocab, self.CFG)
-        assert s.true_length == 1
-        np.testing.assert_array_equal(s.mask, [1, 0, 0, 0, 0, 0])
+        ds = self._encode("it is a by of")
+        assert ds.true_lengths[0] == 1
+        np.testing.assert_array_equal(ds.mask[0], [1, 0, 0, 0, 0, 0])
 
     def test_encode_corpus_shapes_and_dtypes(self):
         vocab = self._vocab()
-        ds = encode_corpus(corpus_of(["hoax media", "viral"]), vocab, self.CFG)
+        ds = encode_corpus(tokens_of(["hoax media", "viral"], self.CFG), vocab)
         assert ds.ids.shape == (2, 6) and ds.ids.dtype == np.int32
         assert ds.mask.shape == (2, 6) and ds.mask.dtype == np.float32
         assert ds.labels.tolist() == [0, 1]
@@ -197,8 +185,7 @@ class TestEncode:
 
 class TestTokenizeCorpus:
     def test_word_indices_in_first_seen_order(self):
-        tokens = tokenize_corpus(
-            corpus_of(["Bbb, aaa! it bbb", "of", "ccc aaa"]), PrepConfig())
+        tokens = tokens_of(["Bbb, aaa! it bbb", "of", "ccc aaa"])
         assert tokens.words == ["bbb", "aaa", "ccc"]
         assert tokens.ids.dtype == np.int32
         assert tokens.ids.tolist() == [0, 1, 0, 2, 1]
@@ -206,31 +193,25 @@ class TestTokenizeCorpus:
         assert tokens.raw_lengths.tolist() == [4, 1, 2]
         assert tokens.labels.tolist() == [0, 1, 0]
 
-    def test_functions_take_either_form(self):
-        cfg = PrepConfig(max_seq_len=4)
-        corpus = corpus_of(["hoax media media viral story", "it is", "hoax"])
-        tokens = tokenize_corpus(corpus, cfg)
-        vocab = build_vocab(corpus, cfg, max_size=3)
-        assert build_vocab(tokens, cfg, max_size=3) == vocab
-        assert seq_length_stats(tokens, cfg) == seq_length_stats(corpus, cfg)
-        a, b = (encode_corpus(c, vocab, cfg) for c in (corpus, tokens))
-        for name in ("ids", "mask", "labels", "true_lengths"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    def test_stages_against_a_hand_oracle(self):
+        tokens = tokens_of(["hoax media media viral story", "it is", "hoax"],
+                           PrepConfig(max_seq_len=4))
+        vocab = build_vocab(tokens, max_size=3)
         # hoax and media tie at 2 and rank by name; viral falls past 3.
         assert vocab.id_to_token[3:] == ["hoax", "media", "story"]
-        assert a.ids.tolist() == [[CLS_ID, 3, 4, 4], [CLS_ID, 0, 0, 0],
-                                  [CLS_ID, 3, 0, 0]]
+        assert encode_corpus(tokens, vocab).ids.tolist() == [
+            [CLS_ID, 3, 4, 4], [CLS_ID, 0, 0, 0], [CLS_ID, 3, 0, 0]]
 
-    def test_other_config_is_rejected(self):
-        tokens = tokenize_corpus(corpus_of(["hoax"]), PrepConfig())
-        with pytest.raises(ArgumentError, match="tokenised under"):
-            build_vocab(tokens, PrepConfig(min_word_len=1), max_size=3)
+    def test_empty_corpus_is_rejected(self):
+        with pytest.raises(ArgumentError, match="nonempty corpus"):
+            tokenize_corpus(corpus_of([]), PrepConfig())
 
 
 class TestSeqLengthStats:
     def test_counts_against_hand_oracle(self):
-        corpus = corpus_of(["it is a hoax", "the media lied today ok"])
-        stats = seq_length_stats(corpus, PrepConfig(min_word_len=3))
+        stats = seq_length_stats(tokens_of(
+            ["it is a hoax", "the media lied today ok"],
+            PrepConfig(min_word_len=3)))
         assert stats["per_doc_without"] == [4, 5]
         assert stats["per_doc_with"] == [1, 4]
         assert stats["without_removal"]["mean"] == 4.5
@@ -238,9 +219,9 @@ class TestSeqLengthStats:
         assert stats["with_removal"]["max"] == 4
 
     def test_removal_never_lengthens(self):
-        corpus = corpus_of([
-            "a bb ccc dddd", "the of and", "longwords only here"])
-        stats = seq_length_stats(corpus, PrepConfig(min_word_len=3))
+        stats = seq_length_stats(tokens_of(
+            ["a bb ccc dddd", "the of and", "longwords only here"],
+            PrepConfig(min_word_len=3)))
         for w, wo in zip(stats["per_doc_with"], stats["per_doc_without"]):
             assert w <= wo
 
@@ -253,11 +234,7 @@ class TestPrepConfig:
             PrepConfig(max_seq_len=1)
 
     def test_hash_sensitivity(self):
-        corpus = corpus_of(["the quick brown fox", "an ox is here"])
-        hashes = {build_vocab(corpus, PrepConfig(min_word_len=n), 10)
-                  .config_hash for n in (3, 1)}
+        texts = ["the quick brown fox", "an ox is here"]
+        hashes = {build_vocab(tokens_of(texts, PrepConfig(min_word_len=n)),
+                              10).config_hash for n in (3, 1)}
         assert len(hashes) == 2
-
-    def test_tokenize_composition(self):
-        cfg = PrepConfig(min_word_len=3)
-        assert tokenize("It IS a Hoax!", cfg) == ["hoax"]

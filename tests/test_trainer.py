@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 import tracemalloc
 import weakref
@@ -270,6 +271,29 @@ class TestResume:
         for name in dense.tensors:
             np.testing.assert_array_equal(by_rows.tensors[name],
                                           dense.tensors[name], err_msg=name)
+
+    @pytest.mark.parametrize("other, dtype, named", [
+        (lambda c: replace(c, head=HeadConfig(h1=40, h2=c.head.h2)),
+         np.float32, "checkpoint h1 = 32 but the model has 40"),
+        (lambda c: replace(c, encoder=select_blocks(c.encoder, (1,))),
+         np.float32, "checkpoint block_subset = (1, 2) but the model has "
+                     "(1,)"),
+        (lambda c: c, np.float64,
+         "checkpoint dtype = float32 but the model has float64")],
+        ids=["h1", "block_subset", "dtype"])
+    def test_checkpoint_of_another_model_is_refused(self, other, dtype,
+                                                    named, toy_split):
+        """A checkpoint resumes only into the model that wrote it; the
+        error names the first field that differs."""
+        split_data, vocab = toy_split
+        config = toy_model_config(len(vocab))
+        cfg = small_train_cfg(seed=4, epochs=1)
+        ckpt, _ = train(Model(config, RngStreams(4)), split_data.train,
+                        split_data.test, cfg)
+        model = Model(other(config), RngStreams(4), dtype=dtype)
+        with pytest.raises(IncompatibilityError, match=re.escape(named)):
+            train(model, split_data.train, split_data.test,
+                  replace(cfg, epochs=2), resume=ckpt)
 
     def test_checkpoint_stores_the_weights_once(self, toy_split):
         split_data, vocab = toy_split

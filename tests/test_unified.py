@@ -10,12 +10,13 @@ import pytest
 from conftest import TOY_SEQ_LEN, toy_model_config
 from ufnd import unified
 from ufnd.checkpoint import Checkpoint
-from ufnd.corpus import split
+from ufnd.corpus import split_indices
 from ufnd.encoder import param_count
 from ufnd.errors import ArgumentError, DataError
 from ufnd.metrics import Metrics
 from ufnd.synthetic import make_synthetic_corpus
-from ufnd.textprep import PrepConfig, build_vocab, encode_corpus
+from ufnd.textprep import (PrepConfig, build_vocab, encode_corpus,
+                           tokenize_corpus)
 from ufnd.trainer import EpochRecord, TrainConfig, TrainReport
 from ufnd.unified import (AblationGrid, EncodedSplit, TrainedCell, ablate,
                           ablation_table, check_acceptable, load_baselines,
@@ -27,11 +28,12 @@ from ufnd.unified import (AblationGrid, EncodedSplit, TrainedCell, ablate,
 def encoded_split(name, seed, n_docs=80, seq_len=TOY_SEQ_LEN):
     corpus = make_synthetic_corpus(n_docs, name, seed=seed)
     prep = PrepConfig(min_word_len=3, max_seq_len=seq_len)
-    vocab = build_vocab(corpus, prep, 100)
-    sc = split(corpus, 0.8, seed)
-    return EncodedSplit(name=name,
-                        train=encode_corpus(sc.train, vocab, prep),
-                        test=encode_corpus(sc.test, vocab, prep)), vocab
+    tokens = tokenize_corpus(corpus, prep)
+    vocab = build_vocab(tokens, 100)
+    ds = encode_corpus(tokens, vocab)
+    train_rows, test_rows = split_indices(len(ds), 0.8, seed)
+    return EncodedSplit(name=name, train=ds.take(train_rows),
+                        test=ds.take(test_rows)), vocab
 
 
 def quick_train_cfg(**kw):
