@@ -100,8 +100,9 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        """Backpropagate from this (scalar or any-shape) tensor.
+    def backward(self, grad: np.ndarray | None = None) -> None:
+        """Backpropagate from this (scalar or any-shape) tensor, seeded
+        with `grad` (this tensor's shape), or ones.
 
         The graph is freed as the walk goes: once a node made by an op has
         handed its gradient to its inputs, it drops that gradient, its
@@ -126,7 +127,10 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited and parent.requires_grad:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        if grad is not None and grad.shape != self.shape:
+            raise ShapeError(f"backward: seed gradient {grad.shape} for a "
+                             f"tensor of {self.shape}")
+        self.grad = np.ones_like(self.data) if grad is None else grad
         while topo:  # popped, so the list keeps no node alive behind the walk
             node = topo.pop()
             if node._backward is None:

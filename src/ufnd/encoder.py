@@ -100,6 +100,17 @@ class EncoderParams:
             out.extend(self.blocks[idx].parameters())
         return out
 
+    def views(self) -> "EncoderParams":
+        """Parameters that share these parameters' arrays but keep
+        gradients of their own."""
+        def view(p):
+            return Parameter(p.data, p.name)
+        # `BlockParams.parameters()` lists the fields in their order.
+        return EncoderParams(
+            view(self.token_embedding), view(self.position_embedding),
+            {idx: BlockParams(*map(view, bp.parameters()))
+             for idx, bp in self.blocks.items()})
+
 
 def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
                         dtype=np.float32, arrays=None) -> EncoderParams:
@@ -154,12 +165,15 @@ class Layout:
     None when every position is kept: `gather` and `scatter` are then
     reshapes and copy nothing.  `firsts` are the packed rows of the
     samples' position 0, and `ends` each sample's last kept position + 1.
+    `skip_rows` counts the rows of the whole batch before and after these
+    ones, when they are a chunk of it (see `dropout_mask`).
     """
 
-    def __init__(self, mask: np.ndarray):
+    def __init__(self, mask: np.ndarray, skip_rows: tuple[int, int] = (0, 0)):
         if np.any(mask.sum(axis=-1) < 1):
             raise ContractError("encoder: sample with no real positions")
         self.mask = mask
+        self.skip_rows = skip_rows
         keep = mask > 0
         keep[:, 0] = True
         counts = keep.sum(axis=1)
@@ -192,15 +206,22 @@ class Layout:
         or rows packed.  Each sample is drawn only up to its last kept
         position (position 0 with `pooled`) and the rest of its row is
         skipped with `advance`: `random` fills in C order and takes one
-        64-bit output per float64 value.
+        64-bit output per float64 value.  The rows of `skip_rows` are
+        skipped whole, so a chunk of a batch takes its rows of the whole
+        batch's draw and `rng` ends where that draw leaves it.
         """
         ends = np.ones_like(self.ends) if pooled else self.ends
         draws = np.empty((ends.size, 1 if pooled else self.mask.shape[1],
                           depth))
+        before, after = self.skip_rows
         # Python ints: `advance` overflows on a numpy int.
+        if before:
+            rng.bit_generator.advance(before * max_seq_len * depth)
         for row, end in zip(draws, ends.tolist()):
             rng.random(out=row[:end])
             rng.bit_generator.advance((max_seq_len - end) * depth)
+        if after:
+            rng.bit_generator.advance(after * max_seq_len * depth)
         draws = draws.reshape(-1, depth)
         return (draws if pooled else self.gather(draws)) >= rate
 
@@ -369,8 +390,12 @@ def encoder_block(queries: Tensor, hidden: Tensor, layout: Layout,
 
 def encode_sequence(ids: np.ndarray, mask: np.ndarray, params: EncoderParams,
                     config: EncoderConfig, mode: str,
-                    rng: np.random.Generator) -> Tensor:
+                    rng: np.random.Generator,
+                    skip_rows: tuple[int, int] = (0, 0)) -> Tensor:
     """Embed, run retained blocks in ascending index order, pool position 0.
+    When the rows are a chunk of a batch, `skip_rows` counts the batch's
+    rows before and after them, and each dropout mask is the chunk's rows
+    of the whole batch's (`Layout.dropout_mask`).
 
     Columns after the batch's last real position are cut first.  The
     embedding then emits the real positions packed (`Layout`): every
@@ -388,7 +413,7 @@ def encode_sequence(ids: np.ndarray, mask: np.ndarray, params: EncoderParams,
     real_cols = np.flatnonzero(np.any(mask, axis=0))
     width = int(real_cols[-1]) + 1 if real_cols.size else ids.shape[1]
     ids, mask = ids[:, :width], mask[:, :width]
-    layout = Layout(mask)
+    layout = Layout(mask, skip_rows)
     hidden = embed(ids, layout, params)
     *full_width, last = config.block_subset
     for idx in full_width:

@@ -70,12 +70,29 @@ class Model:
     def forward(self, ids: np.ndarray, mask: np.ndarray, mode: str,
                 freeze_encoder: bool = False) -> Tensor:
         """Log-probabilities per row; a frozen encoder records no graph."""
-        drop = self.rng.stream("dropout")
+        return self.head(self.encode(ids, mask, mode, freeze_encoder), mode)
+
+    def encode(self, ids: np.ndarray, mask: np.ndarray, mode: str,
+               freeze_encoder: bool = False,
+               params: EncoderParams | None = None,
+               rng: np.random.Generator | None = None,
+               skip_rows: tuple[int, int] = (0, 0)) -> Tensor:
+        """The encoder's pooled rows; a frozen encoder records no graph.
+
+        A chunk of a batch passes its own parameter views (`params`),
+        dropout generator (`rng`) and the batch's rows before and after it
+        (`skip_rows`, see `encode_sequence`)."""
         with no_grad() if freeze_encoder else nullcontext():
-            pooled = encode_sequence(ids, mask, self.encoder_params,
-                                     self.config.encoder, mode, drop)
+            return encode_sequence(ids, mask, params or self.encoder_params,
+                                   self.config.encoder, mode,
+                                   rng or self.rng.stream("dropout"),
+                                   skip_rows)
+
+    def head(self, pooled: Tensor, mode: str) -> Tensor:
+        """The head's log-probabilities for the pooled rows."""
         return head_forward(pooled, self.head_params,
-                            self.config.encoder.dropout_rate, mode, drop)
+                            self.config.encoder.dropout_rate, mode,
+                            self.rng.stream("dropout"))
 
     # -- parameter access ---------------------------------------------
 

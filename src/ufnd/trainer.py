@@ -9,20 +9,22 @@ and a checkpoint stores them once, as `best/`.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import functools
 import math
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autograd import no_grad
+from .autograd import Tensor, no_grad
 from .checkpoint import Checkpoint
 from .classifier import BN_EPS, BN_MOMENTUM, N_CLASSES, HeadConfig, predict
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, EncoderParams
 from .errors import ArgumentError, IncompatibilityError, NonFiniteError
 from .metrics import Metrics, compute_metrics, confusion
 from .model import Model, ModelConfig
@@ -116,55 +118,92 @@ def batch_iterator(n: int, batch_size: int, epoch: int, seed: int):
 # positions (rows x `max_seq_len`): 12 rows at 120 positions, 32 at 48.
 BLOCK_POSITIONS = 1536
 
+# A train step runs its encoder in row chunks of at least this many
+# forward multiply-accumulates (`encoder_macs`), one thread per chunk
+# (`chunk_rows`).  On the desk model, a step on 6 rows of 120 (517M) ran
+# faster as two chunks on two threads; 8 rows of 10-60 (150M) and
+# 16 rows of 48 through two blocks (50M) ran slower.
+CHUNK_MACS = 200_000_000
+
+# The number of processes this one shares its CPUs with, itself included
+# (`cpus_shared_by`).
+_sharing = 1
+
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's CPU count, else 1."""
+    """This process's share of the CPUs it may run on: its affinity mask
+    where the platform has one, else the machine's CPU count, else 1;
+    divided among the processes of `cpus_shared_by`, and at least 1."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _sharing)
 
 
-def predict_dataset(model: Model, ds: EncodedDataset) -> np.ndarray:
-    """The predicted class of each row of `ds`.
+@contextmanager
+def cpus_shared_by(n: int):
+    """Inside the block, `usable_cpus()` gives this process, and any
+    process it forks, a 1/n share of the CPUs."""
+    global _sharing
+    previous, _sharing = _sharing, _sharing * n
+    try:
+        yield
+    finally:
+        _sharing = previous
 
-    The blocks (`BLOCK_POSITIONS`) are scored on one thread per CPU the
-    process may run on, the calling thread among them, and at most one
-    per block; numpy drops the GIL in its products and ufunc loops, so
-    they run in parallel.  Rows are independent in eval mode (batch norm
-    reads its running statistics and dropout draws nothing) and each
-    block is fixed by the data, so the result never depends on the CPU
-    count or on thread timing.  An error in a block is raised here, the
-    first in block order.  Inference records no graph, so a forward holds
-    only the arrays of the block it is in.
-    """
-    size = max(1, BLOCK_POSITIONS // ds.max_seq_len)
-    starts = range(0, len(ds), size)
-    preds, errors = [None] * len(starts), [None] * len(starts)
-    n_threads = max(1, min(usable_cpus(), len(starts)))
 
-    def score(first_block: int) -> None:
-        with no_grad():
-            for b in range(first_block, len(starts), n_threads):
-                rows = slice(starts[b], starts[b] + size)
-                try:
-                    preds[b] = predict(model.forward(ds.ids[rows],
-                                                     ds.mask[rows], "eval"))
-                except Exception as exc:
-                    errors[b] = exc
+def run_threads(n: int, work) -> None:
+    """Run `work(i)` for each i in range(n) on min(n, `usable_cpus()`)
+    threads, the calling thread among them: thread t takes i = t, t +
+    threads, ...; numpy drops the GIL in its products and ufunc loops, so
+    they run in parallel.  An error does not stop the other items; once
+    all are done, the first error in item order is raised here."""
+    n_threads = max(1, min(usable_cpus(), n))
+    errors = [None] * n
+
+    def run(first: int) -> None:
+        for i in range(first, n, n_threads):
+            try:
+                work(i)
+            except Exception as exc:
+                errors[i] = exc
 
     if n_threads > 1:
         _one_malloc_arena()
-    workers = [threading.Thread(target=score, args=(t,))
+    workers = [threading.Thread(target=run, args=(t,))
                for t in range(1, n_threads)]
     for w in workers:
         w.start()
-    score(0)
+    run(0)
     for w in workers:
         w.join()
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+def predict_dataset(model: Model, ds: EncodedDataset) -> np.ndarray:
+    """The predicted class of each row of `ds`.
+
+    The blocks (`BLOCK_POSITIONS`) are scored by `run_threads`.  Rows are
+    independent in eval mode (batch norm reads its running statistics and
+    dropout draws nothing) and each block is fixed by the data, so the
+    result never depends on the CPU count or on thread timing.  Inference
+    records no graph, so a forward holds only the arrays of the block it
+    is in.
+    """
+    size = max(1, BLOCK_POSITIONS // ds.max_seq_len)
+    starts = range(0, len(ds), size)
+    preds = [None] * len(starts)
+
+    def score(b: int) -> None:
+        rows = slice(starts[b], starts[b] + size)
+        with no_grad():
+            preds[b] = predict(model.forward(ds.ids[rows], ds.mask[rows],
+                                             "eval"))
+
+    run_threads(len(starts), score)
     return np.concatenate(preds)
 
 
@@ -263,26 +302,127 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, TrainConfig]:
     return model, cfg
 
 
+def encoder_macs(cfg: EncoderConfig, lengths) -> int:
+    """The encoder's forward multiply-accumulates on rows of `lengths`
+    real positions, cut to the widest row W: the projections and the
+    feed-forward run on real positions only, and the scores and weighted
+    values on W x W per row.  The last retained block projects keys and
+    values at every (real) position but runs queries, attention, output
+    projection and feed-forward for the pooled position only."""
+    d, ff = cfg.d_model, cfg.d_ff
+    width, real, n = max(lengths), sum(lengths), len(lengths)
+
+    def block(n_queries, n_attending):
+        return (2 * real * d * d                    # K/V projections
+                + 2 * n_queries * d * d             # Q/O projections
+                + 2 * n_attending * width * d       # scores, weighted values
+                + 2 * n_queries * d * ff)           # feed-forward
+
+    return (n * width * d
+            + (len(cfg.block_subset) - 1) * block(real, n * width)
+            + block(n, n))
+
+
+def chunk_rows(cfg: EncoderConfig, lengths) -> list[slice]:
+    """The consecutive row chunks a train step on rows of `lengths` real
+    positions runs: k = `encoder_macs` // `CHUNK_MACS` chunks, at least
+    one and at most one per row, cut at the row boundaries nearest to k
+    equal shares of the positions.  A cut that would leave a chunk empty
+    is dropped."""
+    lengths = [int(n) for n in lengths]
+    k = min(len(lengths), max(1, encoder_macs(cfg, lengths) // CHUNK_MACS))
+    starts = np.concatenate([[0], np.cumsum(lengths)])
+    cuts = {int(np.argmin(np.abs(starts - starts[-1] * j / k)))
+            for j in range(1, k)}
+    bounds = sorted(cuts | {0, len(lengths)})
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def _train_step(model: Model, params: list, adam: dict, cfg: TrainConfig,
                 ds: EncodedDataset, idx: np.ndarray) -> tuple[float, float]:
     """One minibatch step; returns the loss and the pre-clip gradient
-    norm.  `loss.backward()` frees the graph block by block as it runs,
-    and the graph takes no second backward.  Only `out` and `loss`
-    themselves outlive it, and they are freed on return, before the next
-    forward or the epoch's validation."""
+    norm."""
     model.zero_grad()
-    out = model.forward(ds.ids[idx], ds.mask[idx], "train",
-                        cfg.freeze_encoder)
-    loss = nll_loss(out, ds.labels[idx])
-    if cfg.checked and not np.isfinite(loss.data):
-        raise NonFiniteError("loss")
-    loss.backward()
+    loss = _loss_and_grads(model, cfg, ds.ids[idx], ds.mask[idx],
+                           ds.labels[idx])
     pre = clip_global_norm(params, cfg.clip)
     for p in params:
         adam_step(p, adam[p.name])
     if cfg.checked:
         assert_all_finite(params)
-    return loss.item(), pre
+    return loss, pre
+
+
+def _loss_and_grads(model: Model, cfg: TrainConfig, ids: np.ndarray,
+                    mask: np.ndarray, labels: np.ndarray) -> float:
+    """The batch's train-mode loss, with its gradients added to the
+    parameters' (zeroed) gradients.  `backward()` frees the graph block
+    by block as it runs, and only the step's outputs outlive it, until
+    this returns.
+
+    The encoder runs in the row chunks of `chunk_rows`, on `run_threads`.
+    Each chunk after the first encodes its rows with parameter views of
+    its own (`EncoderParams.views`) and a copy of the dropout generator;
+    each takes its rows of the whole batch's draws, so every mask is the
+    whole batch's, and the first chunk leaves the model's generator where
+    the whole draw would.  The head, its batch norms and the loss run
+    once, on all the pooled rows, and the backward of the rows' join runs
+    each chunk's backward on its rows of their gradient.  The later
+    chunks' gradients are added to the first's in chunk order, so the
+    result depends on the data alone, never on the CPU count.  A batch of
+    one chunk runs the same code with no join: one graph and one walk."""
+    chunks = chunk_rows(model.config.encoder, mask.sum(axis=1))
+    drop = model.rng.stream("dropout")
+    rngs = [drop] + [copy.deepcopy(drop) for _ in chunks[1:]]
+    views = [model.encoder_params] + [model.encoder_params.views()
+                                      for _ in chunks[1:]]
+    pooled = [None] * len(chunks)
+
+    def encode(c: int) -> None:
+        rows = chunks[c]
+        pooled[c] = model.encode(
+            ids[rows], mask[rows], "train", cfg.freeze_encoder,
+            params=views[c], rng=rngs[c],
+            skip_rows=(rows.start, len(ids) - rows.stop))
+
+    run_threads(len(chunks), encode)
+    if len(chunks) == 1:
+        whole = pooled[0]
+    else:  # a leaf of the head's graph; its backward runs the chunks'
+        whole = Tensor(np.concatenate([p.data for p in pooled]),
+                       requires_grad=not cfg.freeze_encoder,
+                       _backward=lambda g: run_threads(
+                           len(chunks),
+                           lambda c: pooled[c].backward(g[chunks[c]])))
+    loss = nll_loss(model.head(whole, "train"), labels)
+    if cfg.checked and not np.isfinite(loss.data):
+        raise NonFiniteError("loss")
+    loss.backward()
+    if len(chunks) > 1 and not cfg.freeze_encoder:
+        _add_chunk_grads(model.encoder_params, views[1:])
+    return loss.item()
+
+
+def _add_chunk_grads(params: EncoderParams, chunks: list[EncoderParams]
+                     ) -> None:
+    """Add the chunks' gradients to those of `params`, chunk by chunk.
+    Gradients held by rows (the token and position tables) are summed by
+    rows, and stay held by rows."""
+    for p, *views in zip(params.parameters(),
+                         *(c.parameters() for c in chunks)):
+        held = [grad for grad in (q.row_grad() for q in (p, *views))
+                if grad[1] is not None]
+        if held and all(rows is not None for rows, _ in held):
+            rows = functools.reduce(np.union1d, [r for r, _ in held])
+            values = np.zeros((rows.size, p.shape[-1]), dtype=p.dtype)
+            for r, g in held:
+                values[np.searchsorted(rows, r)] += g
+            p.zero_grad()
+            p.accumulate_rows(rows, values)
+            continue
+        for v in views:
+            if v.grad is not None:
+                p.accumulate_grad(v.grad)
 
 
 def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
@@ -319,6 +459,20 @@ def train(model: Model, train_ds: EncodedDataset, val_ds: EncodedDataset,
                 raise IncompatibilityError(
                     f"cannot resume: checkpoint {key} = {value} but the "
                     f"model has {ours[key]}")
+        # ... and of this run: `freeze_encoder` decides which parameters
+        # have Adam moments.
+        frozen = resume.config["train"].get("freeze_encoder", False)
+        if frozen != cfg.freeze_encoder:
+            raise IncompatibilityError(
+                f"cannot resume: checkpoint freeze_encoder = {frozen} but "
+                f"the run has {cfg.freeze_encoder}")
+        # ... and of this data's vocabulary, where both record one.
+        trained_on = resume.config.get("vocab_hash", "")
+        if trained_on and train_ds.vocab_hash and \
+                trained_on != train_ds.vocab_hash:
+            raise IncompatibilityError(
+                f"cannot resume: checkpoint vocab hash {trained_on} != "
+                f"training data vocab hash {train_ds.vocab_hash}")
         best_state = best_arrays(resume)  # read, never written
         model.load_state_arrays(best_state)
         model.rng.restore(resume.meta["rng_state"])
@@ -379,14 +533,9 @@ def estimate_cost(encoder_cfg: EncoderConfig, head_cfg: HeadConfig,
     """Multiply-accumulate count per training step (backward = 2x forward).
 
     Every row counts at `seq_len` positions, unless `true_lengths` gives
-    each row's real length.  The encoder then cuts the batch to its widest
-    row W: the projections and the feed-forward run on real positions
-    only, and the scores and weighted values on W x W per row.  The last
-    retained block projects keys and values at every (real) position but
-    runs queries, attention, output projection and feed-forward for the
-    pooled position only.
+    each row's real length.  The encoder runs each row chunk of the step
+    (`chunk_rows`) cut to the chunk's widest row (`encoder_macs`).
     """
-    d, ff = encoder_cfg.d_model, encoder_cfg.d_ff
     if true_lengths is None:
         true_lengths = [seq_len] * batch_size
     lengths = [int(n) for n in true_lengths]
@@ -394,18 +543,8 @@ def estimate_cost(encoder_cfg: EncoderConfig, head_cfg: HeadConfig,
                                              for n in lengths):
         raise ArgumentError(
             f"true_lengths must hold {batch_size} lengths in [1, {seq_len}]")
-    width, real = max(lengths), sum(lengths)
-
-    def block(n_queries, n_attending):
-        return (2 * real * d * d                    # K/V projections
-                + 2 * n_queries * d * d             # Q/O projections
-                + 2 * n_attending * width * d       # scores, weighted values
-                + 2 * n_queries * d * ff)           # feed-forward
-
-    n_blocks = len(encoder_cfg.block_subset)
-    encoder = (batch_size * width * d
-               + (n_blocks - 1) * block(real, batch_size * width)
-               + block(batch_size, batch_size))
-    head = (d * head_cfg.h1 + head_cfg.h1 * head_cfg.h2
+    encoder = sum(encoder_macs(encoder_cfg, lengths[rows])
+                  for rows in chunk_rows(encoder_cfg, lengths))
+    head = (encoder_cfg.d_model * head_cfg.h1 + head_cfg.h1 * head_cfg.h2
             + head_cfg.h2 * N_CLASSES)
     return 3.0 * (encoder + batch_size * head)

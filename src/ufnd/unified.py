@@ -16,7 +16,8 @@ from .metrics import Metrics, POSITIVE_CLASS_NOTE
 from .model import Model, ModelConfig
 from .numerics import RngStreams
 from .textprep import EncodedDataset
-from .trainer import TrainConfig, TrainReport, train, usable_cpus
+from .trainer import (TrainConfig, TrainReport, cpus_shared_by, train,
+                      usable_cpus)
 
 DEFAULT_BATCH_SIZES = (16, 32, 64, 128, 256, 512, 1024)
 DEFAULT_BLOCK_SUBSETS = ((1, 3, 5, 7, 9, 11), (1, 5, 9), (1, 9), (5,))
@@ -113,7 +114,9 @@ def run_cells(labels: list[str], train_cell, fold) -> None:
     Of n `usable_cpus()`, this process trains the cells with i % n == 0,
     and one forked worker per further CPU trains another residue class,
     each in cell order; at one CPU, or without `fork`, this process trains
-    them all.  Every cell is seeded, so the process that trains it changes
+    them all.  While the n processes run, each gets a 1/n share of the
+    CPUs (`cpus_shared_by`), so their threads do not oversubscribe them.
+    Every cell is seeded, so the process that trains it changes
     nothing.  Each process stops at its first error; once all are done,
     the first error in cell order is raised: the cell's own exception, or
     a `UfndError` naming the cell whose worker died.  No worker outlives
@@ -139,7 +142,8 @@ def run_cells(labels: list[str], train_cell, fold) -> None:
             errors[i] = value
 
     if n > 1:
-        _run_forked(labels, n, share, take)
+        with cpus_shared_by(n):
+            _run_forked(labels, n, share, take)
     else:
         for item in share(0):
             take(*item)

@@ -1,4 +1,5 @@
 import copy
+import os
 
 import numpy as np
 import pytest
@@ -40,6 +41,16 @@ def small_batch(seed=0, batch=4, seq_len=8, vocab_size=50):
         mask[b, n:] = 0.0
     labels = rng.integers(0, 2, size=batch)
     return ids, mask, labels
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """`set_cpus(n)` makes the process's affinity mask hold n CPUs, for
+    the rest of the test."""
+    def set_cpus(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+    return set_cpus
 
 
 @pytest.fixture

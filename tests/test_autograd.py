@@ -167,6 +167,25 @@ class TestStructural:
         assert res.max_rel_error < 1e-7, res.worst_param
 
 
+class TestBackwardSeed:
+    def test_seed_weights_each_output_entry(self):
+        """`backward(seed)` gives the gradients of `sum(seed * out)`."""
+        rng = np.random.default_rng(3)
+        x = Parameter(rng.standard_normal((3, 2)), "x")
+        w = Parameter(rng.standard_normal((4, 2)), "w")
+        seed = rng.standard_normal((3, 4))
+        ag.linear(x, w).backward(seed)
+        np.testing.assert_allclose(w.grad, seed.T @ x.data)
+        np.testing.assert_allclose(x.grad, seed @ w.data)
+
+    def test_seed_of_another_shape_is_refused(self):
+        x = Parameter(np.ones((3, 2)), "x")
+        out = ag.linear(x, Parameter(np.ones((4, 2)), "w"))
+        with pytest.raises(ShapeError, match=r"\(3, 2\) for a tensor of "
+                                             r"\(3, 4\)"):
+            out.backward(np.ones((3, 2)))
+
+
 class TestNoGrad:
     def test_ops_record_nothing_and_recording_resumes(self):
         w = Parameter(np.ones((3, 2), dtype=np.float32), "w")

@@ -1246,21 +1246,20 @@ class TestCellsOnEveryCpu:
         return {"unify": unify_cfg, "ablate": ablate_cfg}
 
     @staticmethod
-    def run(command, configs, out, monkeypatch, cpus) -> int:
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
+    def run(command, configs, out, set_cpus, cpus) -> int:
+        set_cpus(cpus)
         rc = main([command, "--config", str(configs[command]),
                    "--out", str(out)])
         assert multiprocessing.active_children() == []
         return rc
 
     def test_outputs_do_not_depend_on_the_cpu_count(self, configs, tmp_path,
-                                                     monkeypatch):
+                                                     set_cpus):
         written = {}
         for cpus in (1, 2, 4):
             for command in ("unify", "ablate"):
                 out = tmp_path / f"{command}-{cpus}"
-                assert self.run(command, configs, out, monkeypatch,
+                assert self.run(command, configs, out, set_cpus,
                                 cpus) == 0
             written[cpus] = {
                 name: (tmp_path / f"unify-{cpus}" / name).read_bytes()
@@ -1282,7 +1281,7 @@ class TestCellsOnEveryCpu:
     ])
     def test_first_failing_cell_in_cell_order_is_reported(
             self, failing, message, code, cpus, configs, tmp_path,
-            monkeypatch, capsys):
+            monkeypatch, set_cpus, capsys):
         train = unified.train
         cells = {unified._cell_seed(7, dataset, batch): (dataset, batch)
                  for dataset in (0, 1) for batch in (16, 8)}
@@ -1293,14 +1292,14 @@ class TestCellsOnEveryCpu:
             return train(model, train_ds, val_ds, cfg)
 
         monkeypatch.setattr(unified, "train", failing_train)
-        assert self.run("unify", configs, tmp_path / "out", monkeypatch,
+        assert self.run("unify", configs, tmp_path / "out", set_cpus,
                         cpus) == code
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("cpus", [2, 4])
     def test_a_worker_that_dies_names_its_cell(self, cpus, configs,
                                                tmp_path, monkeypatch,
-                                               capsys):
+                                               set_cpus, capsys):
         train, parent = unified.train, os.getpid()
 
         def dying_train(model, train_ds, val_ds, cfg):
@@ -1316,7 +1315,7 @@ class TestCellsOnEveryCpu:
         signal.alarm(60)
         try:
             assert self.run("unify", configs, tmp_path / "out",
-                            monkeypatch, cpus) == 1
+                            set_cpus, cpus) == 1
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)

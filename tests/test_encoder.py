@@ -232,11 +232,12 @@ class TestLengthCut:
         np.testing.assert_array_equal(out, pooled.data)
 
 
-def full_width_encode(ids, mask, params, config, mode, rng):
+def full_width_encode(ids, mask, params, config, mode, rng,
+                      skip_rows=(0, 0)):
     """The encoder with every block full width, then position 0 pooled."""
     width = int(np.flatnonzero(np.any(mask, axis=0))[-1]) + 1
     ids, mask = ids[:, :width], mask[:, :width]
-    layout = Layout(mask)
+    layout = Layout(mask, skip_rows)
     hidden = embed(ids, layout, params)
     for idx in config.block_subset:
         hidden = encoder_block(hidden, hidden, layout, params.blocks[idx],
@@ -311,6 +312,30 @@ class TestDropoutMask:
         keep = layout.dropout_mask(rng, 0.4, 5, 4)
         np.testing.assert_array_equal(keep, draws >= 0.4)
         assert rng.bit_generator.state == full_rng.bit_generator.state
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_chunks_take_their_rows_of_the_whole_batch_draw(self, seed,
+                                                            pooled):
+        """Row chunks, each cut to its own width and told the batch's rows
+        before and after it, draw bitwise the whole batch's mask rows, and
+        each leaves the stream where the whole batch's draw does."""
+        r = np.random.default_rng(seed)
+        batch, max_len, d = 6, 7, 3
+        mask = (r.random((batch, max_len)) < 0.5).astype(np.float32)
+        mask[:, 0] = 1.0
+        rng = np.random.default_rng(seed + 50)
+        want = Layout(mask).dropout_mask(rng, 0.3, max_len, d, pooled)
+        bounds = (0, 2, 5, 6)
+        parts = []
+        for a, b in zip(bounds, bounds[1:]):
+            rows = mask[a:b]
+            width = int(np.flatnonzero(rows.any(axis=0))[-1]) + 1
+            chunk_rng = np.random.default_rng(seed + 50)
+            parts.append(Layout(rows[:, :width], (a, batch - b)).dropout_mask(
+                chunk_rng, 0.3, max_len, d, pooled))
+            assert chunk_rng.bit_generator.state == rng.bit_generator.state
+        np.testing.assert_array_equal(np.concatenate(parts), want)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_random_layouts_match_the_full_corner_draw(self, seed):

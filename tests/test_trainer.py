@@ -1,5 +1,5 @@
-import os
 import re
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -21,9 +21,9 @@ from ufnd.errors import (ArgumentError, ContractError, IncompatibilityError,
 from ufnd.model import Model, desk_config
 from ufnd.numerics import AdamState, RngStreams, grad_check, nll_loss
 from ufnd.textprep import CLS_ID, EncodedDataset
-from ufnd.trainer import (TrainConfig, batch_iterator, estimate_cost,
-                          evaluate, model_from_checkpoint, predict_dataset,
-                          train)
+from ufnd.trainer import (TrainConfig, batch_iterator, chunk_rows,
+                          encoder_macs, estimate_cost, evaluate,
+                          model_from_checkpoint, predict_dataset, train)
 
 
 def small_train_cfg(**kw):
@@ -295,6 +295,43 @@ class TestResume:
             train(model, split_data.train, split_data.test,
                   replace(cfg, epochs=2), resume=ckpt)
 
+    def test_checkpoint_of_another_freeze_setting_is_refused(self,
+                                                             toy_split):
+        """`freeze_encoder` decides which parameters have Adam moments."""
+        split_data, vocab = toy_split
+        config = toy_model_config(len(vocab))
+        cfg = small_train_cfg(seed=4, epochs=1, freeze_encoder=True)
+        ckpt, _ = train(Model(config, RngStreams(4)), split_data.train,
+                        split_data.test, cfg)
+        with pytest.raises(IncompatibilityError, match=re.escape(
+                "checkpoint freeze_encoder = True but the run has False")):
+            train(Model(config, RngStreams(4)), split_data.train,
+                  split_data.test,
+                  replace(cfg, epochs=2, freeze_encoder=False), resume=ckpt)
+
+    def test_checkpoint_of_another_vocabulary_is_refused(self, toy_split):
+        """Data of another vocabulary is refused, naming both hashes; data
+        or a checkpoint that records no hash is not checked."""
+        split_data, vocab = toy_split
+        config = toy_model_config(len(vocab))
+        cfg = small_train_cfg(seed=4, epochs=1)
+        ckpt, _ = train(Model(config, RngStreams(4)), split_data.train,
+                        split_data.test, cfg)
+        theirs = ckpt.config["vocab_hash"]
+        assert theirs == split_data.train.vocab_hash != ""
+        other = replace(split_data.train, vocab_hash="0" * len(theirs))
+        with pytest.raises(IncompatibilityError, match=re.escape(
+                f"checkpoint vocab hash {theirs} != training data vocab "
+                f"hash {'0' * len(theirs)}")):
+            train(Model(config, RngStreams(4)), other, split_data.test,
+                  replace(cfg, epochs=2), resume=ckpt)
+        unhashed = replace(split_data.train, vocab_hash="")
+        train(Model(config, RngStreams(4)), unhashed, split_data.test,
+              replace(cfg, epochs=2), resume=ckpt)
+        ckpt.config["vocab_hash"] = ""
+        train(Model(config, RngStreams(4)), other, split_data.test,
+              replace(cfg, epochs=2), resume=ckpt)
+
     def test_checkpoint_stores_the_weights_once(self, toy_split):
         split_data, vocab = toy_split
         model = Model(toy_model_config(len(vocab)), RngStreams(8))
@@ -496,6 +533,37 @@ class TestEstimateCost:
             assert estimate_cost(enc, self.DESK.head, 120, 8,
                                  np.full(8, 120)) == fixed
 
+    def test_chunks_price_at_their_own_widths(self, monkeypatch):
+        """Three full rows and six of 50: 660 positions run as two chunks,
+        cut to widths 120 and 50, which price below one chunk of width
+        120."""
+        lengths = [120] * 3 + [50] * 6
+        assert chunk_rows(self.DESK.encoder, lengths) == [slice(0, 3),
+                                                          slice(3, 9)]
+        chunked = estimate_cost(self.DESK.encoder, self.DESK.head, 120, 9,
+                                lengths)
+        monkeypatch.setattr(trainer, "CHUNK_MACS", 10 ** 15)
+        one_width = estimate_cost(self.DESK.encoder, self.DESK.head, 120, 9,
+                                  lengths)
+        assert chunked < one_width
+
+    def test_one_chunk_prices_at_the_batch_width(self):
+        """A batch of one chunk is priced by the closed form at its
+        widest row."""
+        lengths = [59, 10, 33, 47, 21, 60, 12, 45]
+        enc, head = self.DESK.encoder, self.DESK.head
+        assert chunk_rows(enc, lengths) == [slice(0, 8)]
+        d, ff, width, real, b = 64, 256, 60, sum(lengths), len(lengths)
+
+        def block(n_queries, n_attending):
+            return (2 * real * d * d + 2 * n_queries * d * d
+                    + 2 * n_attending * width * d + 2 * n_queries * d * ff)
+
+        encoder = b * width * d + 11 * block(real, b * width) + block(b, b)
+        per_row = d * head.h1 + head.h1 * head.h2 + head.h2 * 2
+        assert estimate_cost(enc, head, 120, b, lengths) == \
+            3.0 * (encoder + b * per_row)
+
     def test_falls_as_rows_shorten(self):
         costs = [estimate_cost(self.DESK.encoder, self.DESK.head, 120, 4,
                                lengths)
@@ -644,6 +712,152 @@ class TestStepGraph:
         assert peak / 1e6 <= self.STEP_BUDGET_MB
 
 
+class TestChunkedStep:
+    """A step whose encoder work exceeds `CHUNK_MACS` runs its encoder in
+    row chunks, each on a thread of its own."""
+
+    DESK = desk_config().encoder
+
+    def chunks_of(self, monkeypatch, lengths, k):
+        """`chunk_rows` of the desk encoder, with the floor set to a k-th
+        of the work on `lengths`."""
+        lengths = [int(n) for n in lengths]
+        monkeypatch.setattr(trainer, "CHUNK_MACS",
+                            encoder_macs(self.DESK, lengths) // k)
+        return chunk_rows(self.DESK, lengths)
+
+    def test_chunk_rows(self, monkeypatch):
+        assert chunk_rows(self.DESK, [120] * 6) == [slice(0, 3), slice(3, 6)]
+        assert chunk_rows(self.DESK, [60] * 8) == [slice(0, 8)]
+        # 16 rows of 48: two chunks through 12 blocks, one through two
+        assert chunk_rows(self.DESK, [48] * 16) == [slice(0, 8),
+                                                    slice(8, 16)]
+        assert chunk_rows(select_blocks(self.DESK, (1, 9)), [48] * 16) == \
+            [slice(0, 16)]
+        # 62 positions in two chunks: cut at 32, the boundary nearest 31
+        assert self.chunks_of(monkeypatch, [1, 1, 30, 30], 2) == \
+            [slice(0, 3), slice(3, 4)]
+        # at most one chunk per row
+        assert self.chunks_of(monkeypatch, [50, 50, 50], 5) == \
+            [slice(0, 1), slice(1, 2), slice(2, 3)]
+        # cuts that would leave a chunk empty are dropped
+        assert self.chunks_of(monkeypatch, [1, 1, 200, 200], 4) == \
+            [slice(0, 2), slice(2, 3), slice(3, 4)]
+        for seed in range(50):
+            r = np.random.default_rng(seed)
+            lengths = r.integers(1, 90, size=int(r.integers(2, 20)))
+            k = int(r.integers(1, 8))
+            chunks = self.chunks_of(monkeypatch, lengths, k)
+            assert chunks[0].start == 0 and chunks[-1].stop == len(lengths)
+            assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+            assert all(c.stop > c.start for c in chunks)
+            assert len(chunks) <= k
+
+    def test_checkpoint_does_not_depend_on_the_cpu_count(
+            self, monkeypatch, set_cpus, toy_split, tmp_path):
+        """Chunks of about 30 positions: a 3-epoch run writes the same
+        bytes at 1, 2 and 4 CPUs.  At 1 CPU the chunks run in a loop on
+        the calling thread."""
+        split_data, vocab = toy_split
+        monkeypatch.setattr(trainer, "CHUNK_MACS", encoder_macs(
+            toy_model_config(len(vocab)).encoder, [10, 10, 10]))
+        encode, zero_grad = Model.encode, Model.zero_grad
+        steps = []  # per step, the thread of each chunk
+
+        def recorded(model, ids, mask, mode, *args, **kwargs):
+            if mode == "train":
+                steps[-1].append(threading.current_thread())
+            return encode(model, ids, mask, mode, *args, **kwargs)
+
+        def new_step(model):
+            steps.append([])
+            zero_grad(model)
+
+        monkeypatch.setattr(Model, "encode", recorded)
+        monkeypatch.setattr(Model, "zero_grad", new_step)
+        written = {}
+        interval = sys.getswitchinterval()
+        for cpus in (1, 2, 4):
+            set_cpus(cpus)
+            steps.clear()
+            model = Model(toy_model_config(len(vocab)), RngStreams(21))
+            sys.setswitchinterval(1e-5)  # threads interleave often
+            try:
+                ckpt, _ = train(model, split_data.train, split_data.test,
+                                small_train_cfg(seed=21))
+            finally:
+                sys.setswitchinterval(interval)
+            save_checkpoint(ckpt, tmp_path / f"{cpus}.ufnd")
+            written[cpus] = (tmp_path / f"{cpus}.ufnd").read_bytes()
+            assert len(steps) == 18 and min(map(len, steps)) >= 4
+            assert {len(set(s)) for s in steps} == {cpus}
+            if cpus == 1:
+                assert {t for s in steps for t in s} == \
+                    {threading.current_thread()}
+        assert written[2] == written[1]
+        assert written[4] == written[1]
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_chunked_gradients_equal_the_whole_batch_ones(
+            self, monkeypatch, set_cpus, freeze):
+        """In float64 and with dropout on, a 2-chunk step's loss,
+        gradients, batch-norm statistics and dropout stream match the
+        whole batch's.  A frozen encoder records no graph in either
+        chunk's thread."""
+        set_cpus(2)
+        ids, mask, labels = small_batch(seed=4, batch=6, seq_len=8)
+        encode = Model.encode
+        pooled = []
+
+        def recorded(model, *args, **kwargs):
+            out = encode(model, *args, **kwargs)
+            pooled.append(out)
+            return out
+
+        monkeypatch.setattr(Model, "encode", recorded)
+        results = []
+        macs = encoder_macs(small_model().config.encoder,
+                            [int(n) for n in mask.sum(axis=1)])
+        for floor in (macs + 1, macs // 2):
+            monkeypatch.setattr(trainer, "CHUNK_MACS", floor)
+            pooled.clear()
+            model = small_model(seed=9, dtype=np.float64, dropout_rate=0.3)
+            model.zero_grad()
+            loss = trainer._loss_and_grads(
+                model, small_train_cfg(freeze_encoder=freeze), ids, mask,
+                labels)
+            assert len(pooled) == (1 if floor > macs else 2)
+            assert all(p.requires_grad != freeze for p in pooled)
+            bn = model.head_params.bn1
+            results.append((loss, model.parameters(),
+                            (bn.running_mean, bn.running_var),
+                            model.rng.stream("dropout").bit_generator.state))
+        (whole_loss, whole, whole_bn, whole_rng), \
+            (loss, chunked, bn, rng) = results
+        assert loss == pytest.approx(whole_loss, rel=1e-10)
+        for pw, pc in zip(whole, chunked):
+            if freeze and pw.name.startswith("encoder/"):
+                assert pw.grad is None and pc.grad is None
+                continue
+            np.testing.assert_allclose(pc.grad, pw.grad, rtol=1e-10,
+                                       atol=1e-12, err_msg=pw.name)
+        for w, c in zip(whole_bn, bn):
+            np.testing.assert_allclose(c, w, rtol=1e-10, atol=1e-12)
+        assert rng == whole_rng
+
+    def test_token_rows_stay_row_held(self, monkeypatch):
+        """The token table's gradient is summed by rows: it stays held by
+        the rows the chunks looked up, so Adam keeps its row path."""
+        ids, mask, labels = small_batch(seed=4, batch=6, seq_len=8)
+        model = small_model(seed=9)
+        monkeypatch.setattr(trainer, "CHUNK_MACS", 1)  # one row a chunk
+        model.zero_grad()
+        trainer._loss_and_grads(model, small_train_cfg(), ids, mask, labels)
+        rows, values = model.encoder_params.token_embedding.row_grad()
+        np.testing.assert_array_equal(rows, np.unique(ids[mask > 0]))
+        assert values.shape == (rows.size, 8)
+
+
 class TestGraphFreeInference:
     @pytest.mark.parametrize("pad", [True, False])
     def test_predictions_match_a_recording_forward(self, toy_split, pad):
@@ -687,19 +901,19 @@ class TestBlockedPrediction:
 
     ROWS = 3
 
-    def model_and_data(self, monkeypatch, toy_split, cpus):
+    def model_and_data(self, monkeypatch, set_cpus, toy_split, cpus):
         split_data, vocab = toy_split
         ds = split_data.test
         monkeypatch.setattr(trainer, "BLOCK_POSITIONS",
                             self.ROWS * ds.max_seq_len)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
+        set_cpus(cpus)
         return ds, Model(toy_model_config(len(vocab)), RngStreams(5))
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_blocks_match_a_serial_loop_on_any_cpu_count(
-            self, monkeypatch, toy_split, cpus):
-        ds, model = self.model_and_data(monkeypatch, toy_split, cpus)
+            self, monkeypatch, set_cpus, toy_split, cpus):
+        ds, model = self.model_and_data(monkeypatch, set_cpus, toy_split,
+                                        cpus)
         starts = range(0, len(ds), self.ROWS)
         assert len(starts) == 8
         with no_grad():
@@ -727,8 +941,9 @@ class TestBlockedPrediction:
             preds, np.argmax(np.concatenate(serial), axis=1))
 
     def test_first_error_in_block_order_reaches_the_caller(self, monkeypatch,
+                                                           set_cpus,
                                                            toy_split):
-        ds, model = self.model_and_data(monkeypatch, toy_split, 4)
+        ds, model = self.model_and_data(monkeypatch, set_cpus, toy_split, 4)
         bad_ids = ds.ids.copy()
         bad_ids[-1, 1] = 20_000  # the last block, on a worker thread
         with pytest.raises(ShapeError, match="20000"):
@@ -738,8 +953,9 @@ class TestBlockedPrediction:
             predict_dataset(model, replace(ds, ids=bad_ids))
         assert model.forward(ds.ids[:2], ds.mask[:2], "eval")._parents
 
-    def test_one_block_starts_no_thread(self, monkeypatch, toy_split):
-        ds, model = self.model_and_data(monkeypatch, toy_split, 4)
+    def test_one_block_starts_no_thread(self, monkeypatch, set_cpus,
+                                        toy_split):
+        ds, model = self.model_and_data(monkeypatch, set_cpus, toy_split, 4)
         one_block = replace(ds, ids=ds.ids[:self.ROWS],
                             mask=ds.mask[:self.ROWS],
                             labels=ds.labels[:self.ROWS],

@@ -2,13 +2,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import TOY_SEQ_LEN, toy_model_config
-from ufnd import unified
+from ufnd import trainer, unified
 from ufnd.checkpoint import Checkpoint
 from ufnd.corpus import split_indices
 from ufnd.encoder import param_count
@@ -40,11 +41,6 @@ def quick_train_cfg(**kw):
     base = dict(seed=7, epochs=3, batch_size=16)
     base.update(kw)
     return TrainConfig(**base)
-
-
-def patch_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
 
 
 def constant_report():
@@ -158,8 +154,8 @@ class TestPhaseOne:
                       baselines={"ds1": 0.5}, threshold=0.1,
                       batch_sizes=(16,))
 
-    def test_ties_keep_the_earliest_batch_size(self, monkeypatch):
-        patch_cpus(monkeypatch, 4)  # cells finish in no set order
+    def test_ties_keep_the_earliest_batch_size(self, monkeypatch, set_cpus):
+        set_cpus(4)  # cells finish in no set order
 
         def fake_train(model, train_ds, val_ds, cfg):
             return (Checkpoint(config={"batch": cfg.batch_size}, tensors={}),
@@ -217,8 +213,8 @@ class TestPhaseTwoSweep:
         for name, arr in alone.tensors.items():
             np.testing.assert_array_equal(ckpt.tensors[name], arr)
 
-    def test_ties_keep_the_earliest_batch_size(self, monkeypatch):
-        patch_cpus(monkeypatch, 4)  # cells finish in no set order
+    def test_ties_keep_the_earliest_batch_size(self, monkeypatch, set_cpus):
+        set_cpus(4)  # cells finish in no set order
 
         def fake_phase_two(combined, model_cfg, train_cfg, source=None):
             return Checkpoint(config={"batch": train_cfg.batch_size},
@@ -233,8 +229,8 @@ class TestPhaseTwoSweep:
 
 class TestRunCells:
     @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_every_cell_is_folded_here_once(self, monkeypatch, cpus):
-        patch_cpus(monkeypatch, cpus)
+    def test_every_cell_is_folded_here_once(self, set_cpus, cpus):
+        set_cpus(cpus)
         folded = {}
 
         def fold(i, result):
@@ -252,10 +248,32 @@ class TestRunCells:
         assert [i for i, pid in pids.items() if pid == os.getpid()] == \
             list(range(0, 7, cpus))
 
+    @pytest.mark.parametrize("cpus, cells, share", [(2, 3, 1), (4, 2, 2),
+                                                    (4, 5, 1)])
+    def test_each_process_gets_its_share_of_the_cpus(self, set_cpus, cpus,
+                                                     cells, share):
+        """While n processes train cells, each one's `usable_cpus()`, and
+        so the threads of its train steps and predictions, is its 1/n
+        share; the call then restores the whole count."""
+        set_cpus(cpus)
+
+        def train_cell(i):
+            threads = set()
+            trainer.run_threads(4, lambda item: threads.add(
+                threading.current_thread().name))
+            return trainer.usable_cpus(), len(threads)
+
+        seen = {}
+        run_cells([f"cell {i}" for i in range(cells)], train_cell,
+                  seen.__setitem__)
+        assert seen == {i: (share, share) for i in range(cells)}
+        assert trainer.usable_cpus() == cpus
+
     @pytest.mark.parametrize("cpus, has_fork", [(1, True), (4, False)])
     def test_one_cpu_or_no_fork_trains_in_a_loop_here(self, monkeypatch,
-                                                      cpus, has_fork):
-        patch_cpus(monkeypatch, cpus)
+                                                      set_cpus, cpus,
+                                                      has_fork):
+        set_cpus(cpus)
         if has_fork:
             def no_fork():
                 raise AssertionError("a worker was forked")
@@ -268,8 +286,8 @@ class TestRunCells:
                   lambda i, pid: folded.append((i, pid)))
         assert folded == [(i, os.getpid()) for i in range(3)]
 
-    def test_one_cpu_stops_at_the_first_error(self, monkeypatch):
-        patch_cpus(monkeypatch, 1)
+    def test_one_cpu_stops_at_the_first_error(self, set_cpus):
+        set_cpus(1)
         trained = []
 
         def train_cell(i):
